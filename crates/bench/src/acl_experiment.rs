@@ -3,7 +3,7 @@
 //! the quantities Figs. 9/10 and the data-volume table report.
 
 use fluctrace_apps::{AclCostModel, Firewall, PacketType, Tester};
-use fluctrace_core::{integrate_soa, EstimateTable, MappingMode, PipelineStats};
+use fluctrace_core::{integrate_soa_timed, EstimateTable, MappingMode, PipelineStats};
 use fluctrace_cpu::{CoreConfig, DrainMode, ItemId, Machine, MachineConfig, PebsConfig, SinkKind};
 use fluctrace_sim::{Freq, RunningStats, SimDuration, SimTime};
 
@@ -133,14 +133,13 @@ pub fn run_acl(config: AclRunConfig) -> AclRunResult {
     // conformance harness pins it byte-identical to the AoS reference.
     let mut pipeline: Option<PipelineStats> = None;
     let estimates: Option<EstimateTable> = config.reset.map(|_| {
-        let soa = integrate_soa(
+        let (soa, mut stats) = integrate_soa_timed(
             &bundle,
             machine.symtab(),
             Freq::ghz(3),
             MappingMode::Intervals,
         );
         let (table, estimate_ns) = EstimateTable::from_soa_timed(&soa);
-        let mut stats = soa.stats;
         stats.estimate_ns = estimate_ns;
         pipeline = Some(stats);
         table

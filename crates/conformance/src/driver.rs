@@ -579,18 +579,20 @@ fn check_offline(
 
         if threads == 1 {
             // The columnar trace must round-trip to the exact AoS trace:
-            // same attributed rows, same intervals, same errors. Serde
-            // bytes make "exact" unarguable.
-            let aos = serde_json::to_string(&it).unwrap_or_default();
-            let back = serde_json::to_string(&soa.to_integrated()).unwrap_or_default();
-            if aos != back {
+            // same attributed rows, same intervals, same errors. Trace
+            // values carry no timings, so `==` is exact equality.
+            let back = soa.to_integrated();
+            if back != it {
                 return Err(fail(
                     seed,
                     "soa-roundtrip",
                     format!(
-                        "to_integrated diverges from the AoS trace ({} vs {} bytes)",
-                        back.len(),
-                        aos.len()
+                        "to_integrated diverges from the AoS trace ({} vs {} samples, \
+                         {} vs {} intervals)",
+                        back.samples.len(),
+                        it.samples.len(),
+                        back.intervals.len(),
+                        it.intervals.len()
                     ),
                 ));
             }

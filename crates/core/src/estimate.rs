@@ -890,7 +890,6 @@ mod tests {
             errors: vec![],
             freq: freq(),
             mode: MappingMode::Intervals,
-            stats: Default::default(),
             item_index: vec![],
         };
         for table in [

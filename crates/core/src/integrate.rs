@@ -67,9 +67,11 @@ pub struct AttributedSample {
 
 /// Timing and volume counters of one analysis-pipeline run.
 ///
-/// Integration fills the interval/attribution stages; the estimation
-/// stage is reported by [`crate::EstimateTable::from_integrated_timed`]
-/// and composed in by callers (see `fluctrace-bench`). Timings come
+/// Integration fills the interval/attribution stages
+/// ([`crate::integrate_soa_timed`] returns them beside the trace, never
+/// inside it); the estimation stage is reported by
+/// [`crate::EstimateTable::from_integrated_timed`] and composed in by
+/// callers (see `fluctrace-bench`). Timings come
 /// from the process-wide `obs` clock: real nanoseconds in bench
 /// binaries (which install the wall clock), opaque logical ticks
 /// everywhere else. Either way they are measurement artifacts — they
@@ -120,8 +122,9 @@ fn per_sec(count: u64, ns: u64) -> f64 {
 }
 
 /// The integrated trace: attributed samples plus the reconstructed
-/// intervals and any mark-pairing errors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// intervals and any mark-pairing errors. A pure result value: two runs
+/// over the same input compare `==` at any thread count or timing.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntegratedTrace {
     /// All samples, in `(core, tsc)` order.
     pub samples: Vec<AttributedSample>,
@@ -133,8 +136,6 @@ pub struct IntegratedTrace {
     pub freq: Freq,
     /// The mapping mode used.
     pub mode: MappingMode,
-    /// Wall-time/throughput counters of this integration run.
-    pub stats: PipelineStats,
     /// Per-item index into `samples`: `(item, start, end)` half-open
     /// ranges, sorted by `(item, start)`. Built once during integration
     /// so per-item queries don't rescan the whole sample array.
@@ -144,6 +145,16 @@ pub struct IntegratedTrace {
 /// Below this many samples the shard fan-out is pure overhead; run the
 /// single-threaded path (same results by construction).
 pub(crate) const PARALLEL_MIN_SAMPLES: usize = 4096;
+
+/// Worker count for the auto-sized entry points: sequential below
+/// [`PARALLEL_MIN_SAMPLES`], else the `FLUCTRACE_THREADS` pool size.
+pub(crate) fn auto_threads(bundle: &TraceBundle) -> usize {
+    if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
+        1
+    } else {
+        parallel::configured_threads()
+    }
+}
 
 /// Integrate a trace bundle against a symbol table.
 ///
@@ -157,12 +168,7 @@ pub fn integrate(
     freq: Freq,
     mode: MappingMode,
 ) -> IntegratedTrace {
-    let threads = if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
-        1
-    } else {
-        parallel::configured_threads()
-    };
-    integrate_with_threads(bundle, symtab, freq, mode, threads)
+    integrate_with_threads(bundle, symtab, freq, mode, auto_threads(bundle))
 }
 
 /// [`integrate`] with an explicit worker count, honoured even for tiny
@@ -175,6 +181,19 @@ pub fn integrate_with_threads(
     mode: MappingMode,
     threads: usize,
 ) -> IntegratedTrace {
+    integrate_timed(bundle, symtab, freq, mode, threads).0
+}
+
+/// [`integrate_with_threads`] plus the run's [`PipelineStats`], which
+/// travel beside the trace: they hold clock ticks, so they vary run to
+/// run and must stay out of the result value.
+pub(crate) fn integrate_timed(
+    bundle: &TraceBundle,
+    symtab: &SymbolTable,
+    freq: Freq,
+    mode: MappingMode,
+    threads: usize,
+) -> (IntegratedTrace, PipelineStats) {
     let threads = threads.max(1);
     obs::span!("integrate.run", threads);
 
@@ -251,15 +270,15 @@ pub fn integrate_with_threads(
         intervals: intervals.len() as u64,
         threads: threads as u64,
     };
-    IntegratedTrace {
+    let trace = IntegratedTrace {
         samples,
         intervals,
         errors,
         freq,
         mode,
-        stats,
         item_index,
-    }
+    };
+    (trace, stats)
 }
 
 /// One core's sub-slices of the sorted streams. Shared with the
@@ -630,10 +649,17 @@ mod tests {
         ];
         bundle.samples = vec![sample(0, 150, ip, NO_TAG)];
         bundle.sort();
-        let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        assert_eq!(it.stats.samples, 1);
-        assert_eq!(it.stats.intervals, 1);
-        assert_eq!(it.stats.threads, 1, "tiny bundles stay sequential");
-        assert_eq!(it.stats.estimate_ns, 0);
+        let threads = auto_threads(&bundle);
+        let (_, stats) = integrate_timed(
+            &bundle,
+            &symtab,
+            Freq::ghz(3),
+            MappingMode::Intervals,
+            threads,
+        );
+        assert_eq!(stats.samples, 1);
+        assert_eq!(stats.intervals, 1);
+        assert_eq!(stats.threads, 1, "tiny bundles stay sequential");
+        assert_eq!(stats.estimate_ns, 0);
     }
 }

@@ -52,6 +52,7 @@ pub mod interval;
 pub mod metrics;
 pub mod online;
 pub mod overhead;
+mod pairing;
 pub mod parallel;
 pub mod profile;
 pub mod report;
@@ -80,7 +81,9 @@ pub use overhead::{
 pub use parallel::{configured_threads, run_indexed, run_parts};
 pub use profile::{FlatProfile, ProfileEntry};
 pub use report::{diagnosis, item_breakdown, item_breakdown_with_trace};
-pub use soa::{integrate_soa, integrate_soa_with_threads, SampleColumns, SoaTrace};
+pub use soa::{
+    integrate_soa, integrate_soa_timed, integrate_soa_with_threads, SampleColumns, SoaTrace,
+};
 pub use window::{
     CumulativeMode, Episode, FoldedTotals, WindowConfig, WindowReport, WindowSummary,
     WindowedIntegrator,

@@ -39,8 +39,8 @@
 //! path already shares (`interval_idx` is `u32` there too).
 
 use crate::integrate::{
-    build_item_index, integrate_with_threads, shard_by_core, AttributedSample, IntegratedTrace,
-    MappingMode, PipelineStats, PARALLEL_MIN_SAMPLES,
+    auto_threads, build_item_index, integrate_timed, shard_by_core, AttributedSample,
+    IntegratedTrace, MappingMode, PipelineStats,
 };
 use crate::interval::{build_intervals, IntervalError, ItemInterval};
 use crate::parallel;
@@ -100,7 +100,7 @@ impl SampleColumns {
 
 /// The columnar integrated trace: what [`IntegratedTrace`] holds, with
 /// the sample rows transposed into [`SampleColumns`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoaTrace {
     /// Attributed sample columns, in `(core, tsc)` order.
     pub cols: SampleColumns,
@@ -112,8 +112,6 @@ pub struct SoaTrace {
     pub freq: Freq,
     /// The mapping mode used.
     pub mode: MappingMode,
-    /// Wall-time/throughput counters of this integration run.
-    pub stats: PipelineStats,
     /// Per-item `(item, start, end)` sample ranges, as in the AoS trace.
     pub(crate) item_index: Vec<(ItemId, u32, u32)>,
     /// The reserved-id escape hatch: when a trace actually uses item
@@ -132,12 +130,19 @@ pub fn integrate_soa(
     freq: Freq,
     mode: MappingMode,
 ) -> SoaTrace {
-    let threads = if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
-        1
-    } else {
-        parallel::configured_threads()
-    };
-    integrate_soa_with_threads(bundle, symtab, freq, mode, threads)
+    integrate_soa_timed(bundle, symtab, freq, mode).0
+}
+
+/// [`integrate_soa`] plus the run's [`PipelineStats`]. The stats hold
+/// clock ticks that vary run to run, so they travel beside the trace —
+/// the same shape as [`crate::EstimateTable::from_soa_timed`].
+pub fn integrate_soa_timed(
+    bundle: &TraceBundle,
+    symtab: &SymbolTable,
+    freq: Freq,
+    mode: MappingMode,
+) -> (SoaTrace, PipelineStats) {
+    soa_timed(bundle, symtab, freq, mode, auto_threads(bundle))
 }
 
 /// [`integrate_soa`] with an explicit worker count (`threads = 1` is the
@@ -149,6 +154,16 @@ pub fn integrate_soa_with_threads(
     mode: MappingMode,
     threads: usize,
 ) -> SoaTrace {
+    soa_timed(bundle, symtab, freq, mode, threads).0
+}
+
+fn soa_timed(
+    bundle: &TraceBundle,
+    symtab: &SymbolTable,
+    freq: Freq,
+    mode: MappingMode,
+    threads: usize,
+) -> (SoaTrace, PipelineStats) {
     let threads = threads.max(1);
     obs::span!("soa.integrate.run", threads);
 
@@ -192,9 +207,8 @@ pub fn integrate_soa_with_threads(
         if obs::recording() {
             obs::counter!("core.soa.fallbacks").inc();
         }
-        return SoaTrace::from_integrated(&integrate_with_threads(
-            bundle, symtab, freq, mode, threads,
-        ));
+        let (it, stats) = integrate_timed(bundle, symtab, freq, mode, threads);
+        return (SoaTrace::from_integrated(&it), stats);
     }
 
     // Phase 2 — attribution straight into pre-allocated columns. Each
@@ -247,16 +261,16 @@ pub fn integrate_soa_with_threads(
         intervals: intervals.len() as u64,
         threads: threads as u64,
     };
-    SoaTrace {
+    let trace = SoaTrace {
         cols,
         intervals,
         errors,
         freq,
         mode,
-        stats,
         item_index,
         aos_fallback: None,
-    }
+    };
+    (trace, stats)
 }
 
 /// One shard's borrowed inputs plus its disjoint output chunk.
@@ -470,7 +484,6 @@ impl SoaTrace {
             errors: self.errors.clone(),
             freq: self.freq,
             mode: self.mode,
-            stats: self.stats,
             item_index: self.item_index.clone(),
         }
     }
@@ -501,7 +514,6 @@ impl SoaTrace {
             errors: it.errors.clone(),
             freq: it.freq,
             mode: it.mode,
-            stats: it.stats,
             item_index: build_item_index(&it.samples),
             // lint:allow(hot-path-alloc): rare-path fallback built once per transpose when a reserved id is present, not per sample
             aos_fallback: reserved_id.then(|| Box::new(it.clone())),

@@ -3,14 +3,15 @@
 //!
 //! The batch pipeline holds a whole trace in memory before integrating
 //! it; an always-on tracer cannot. [`WindowedIntegrator`] consumes the
-//! same `TraceBundle` batches the online tracer does — with pairing,
-//! eviction and loss accounting semantics copied line for line from
-//! `online::Worker`, so the 11-counter [`LossStats`] ledger stays exact
-//! — but cuts the completed-item stream into **windows** of
-//! [`WindowConfig::window_items`] items. Each closed window is folded
-//! through the same [`estimate`](crate::estimate) assembly as a batch
-//! run into a per-window [`EstimateTable`] summary, the raw samples are
-//! dropped, and old summaries are evicted once
+//! same `TraceBundle` batches the online tracer does, through the same
+//! pairing core: `core::pairing` is the single owner of Start/End
+//! pairing, pending eviction, the divergence baseline and the 11-counter
+//! [`LossStats`] ledger, so both drivers account identically by
+//! construction. This module only cuts the completed-item stream into
+//! **windows** of [`WindowConfig::window_items`] items. Each closed
+//! window is folded through the same [`estimate`](crate::estimate)
+//! assembly as a batch run into a per-window [`EstimateTable`] summary,
+//! the raw samples are dropped, and old summaries are evicted once
 //! [`WindowConfig::max_windows`] are retained. Loss counters, anomaly
 //! baselines and the cumulative accumulator carry forward across every
 //! window boundary, so nothing about the *accounting* is windowed —
@@ -42,10 +43,8 @@
 
 use crate::estimate::{self, EstimateTable};
 use crate::interval::ItemInterval;
-use crate::online::LossStats;
-use fluctrace_cpu::{
-    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
-};
+use crate::pairing::{CompletedItem, LossStats, Pairing};
+use fluctrace_cpu::{CoreId, FuncId, ItemId, SymbolTable, TraceBundle};
 use fluctrace_obs as obs;
 use fluctrace_sim::{Freq, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -210,14 +209,6 @@ impl WindowReport {
     }
 }
 
-#[derive(Default)]
-struct CoreState {
-    /// Samples not yet assigned to a finished item, in tsc order.
-    pending: Vec<PebsRecord>,
-    /// Open start mark.
-    open: Option<(ItemId, u64)>,
-}
-
 /// The open window's accumulating state: flat `(item, func, first,
 /// last, count)` spans plus the intervals and unknown counts the
 /// assembly needs. Dropped wholesale at window close.
@@ -243,39 +234,141 @@ enum Accum {
         /// Item → attributed-but-unresolvable sample count.
         unknown: BTreeMap<ItemId, u32>,
     },
-    Folded {
-        /// Func → (samples, cycles).
-        funcs: BTreeMap<FuncId, (u64, u64)>,
-        marked_cycles: u64,
-        unknown_samples: u64,
-        items: u64,
-    },
+    /// The running totals themselves.
+    Folded(FoldedTotals),
 }
 
-/// Incremental integrator: same batch interface and loss semantics as
-/// the online tracer's worker, windowed summaries and bounded memory
-/// instead of an end-of-stream report. See the module docs.
-pub struct WindowedIntegrator {
-    symtab: Arc<SymbolTable>,
-    config: WindowConfig,
-    cores: BTreeMap<CoreId, CoreState>,
-    /// Running per-function baselines (count, mean in ps) — carried
-    /// across windows, exactly like the online tracer carries them
-    /// across batches.
-    baselines: BTreeMap<FuncId, (u64, f64)>,
-    loss: LossStats,
-    items_processed: u64,
-    samples_seen: u64,
-    samples_attributed: u64,
+impl FoldedTotals {
+    /// Add `samples` and `cycles` to `func`'s totals, keeping `funcs`
+    /// sorted by function id.
+    fn add(&mut self, func: FuncId, samples: u64, cycles: u64) {
+        match self.funcs.binary_search_by_key(&func, |f| f.0) {
+            Ok(i) => {
+                if let Some(f) = self.funcs.get_mut(i) {
+                    f.1 += samples;
+                    f.2 = f.2.wrapping_add(cycles);
+                }
+            }
+            Err(i) => self.funcs.insert(i, (func, samples, cycles)),
+        }
+    }
+}
+
+/// Everything window-specific: the open window, the retained summary
+/// ring, the cumulative accumulator and the episode ring.
+struct Windows {
     open: OpenWindow,
-    windows: VecDeque<WindowSummary>,
-    windows_closed: u64,
-    windows_evicted: u64,
+    closed: VecDeque<WindowSummary>,
+    closed_total: u64,
+    evicted: u64,
     evicted_bytes: u64,
     accum: Accum,
     episodes: VecDeque<Episode>,
     episodes_total: u64,
-    finished: bool,
+}
+
+impl Windows {
+    /// Fold one completed item into the open window and the cumulative
+    /// accumulator — one source of truth for both granularities — and
+    /// close the window once it holds `window_items` items.
+    fn fold(&mut self, config: &WindowConfig, item: CompletedItem<'_>) {
+        let iv = item.interval;
+        if let Some((func, elapsed, baseline_mean)) = item.worst {
+            obs::event("window.episode", iv.item.0);
+            self.episodes_total += 1;
+            self.open.anomalies += 1;
+            self.episodes.push_back(Episode {
+                item: iv.item,
+                func,
+                elapsed,
+                baseline_mean,
+                samples: item.samples.len() as u32,
+                window: self.closed_total,
+            });
+            while self.episodes.len() > config.max_episodes.max(1) {
+                self.episodes.pop_front();
+            }
+        }
+        self.open.items += 1;
+        self.open.samples += item.samples.len() as u64;
+        self.open.intervals.push(iv);
+        if item.unknown > 0 {
+            *self.open.unknown.entry(iv.item).or_insert(0) += item.unknown;
+        }
+        match &mut self.accum {
+            Accum::Exact {
+                funcs,
+                marked,
+                unknown,
+            } => {
+                for &(func, first, last, count) in item.spans {
+                    let e = funcs.entry((iv.item, func)).or_insert((0, 0));
+                    e.0 = e.0.wrapping_add(count);
+                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
+                }
+                *marked.entry(iv.item).or_insert(0) += iv.cycles();
+                if item.unknown > 0 {
+                    *unknown.entry(iv.item).or_insert(0) += item.unknown;
+                }
+            }
+            Accum::Folded(totals) => {
+                for &(func, first, last, count) in item.spans {
+                    totals.add(func, u64::from(count), last.wrapping_sub(first));
+                }
+                totals.marked_cycles = totals.marked_cycles.wrapping_add(iv.cycles());
+                totals.unknown_samples += u64::from(item.unknown);
+                totals.items += 1;
+            }
+        }
+        self.open.flat.extend(
+            item.spans
+                .iter()
+                .map(|&(func, first, last, count)| (iv.item, func, first, last, count)),
+        );
+        if self.open.items >= config.window_items.max(1) {
+            self.close(config, *item.loss);
+        }
+    }
+
+    /// Close the open window: assemble its table through the batch
+    /// estimator's fold, snapshot the cumulative ledger, drop the raw
+    /// spans, and evict the oldest summary past the retention bound.
+    fn close(&mut self, config: &WindowConfig, loss: LossStats) {
+        if self.open.items == 0 {
+            return;
+        }
+        let open = std::mem::take(&mut self.open);
+        obs::span!("window.close", open.items);
+        let table =
+            estimate::assemble_table(open.flat, open.unknown, 0, &open.intervals, config.freq);
+        self.closed.push_back(WindowSummary {
+            index: self.closed_total,
+            items: open.items,
+            samples: open.samples,
+            anomalies: open.anomalies,
+            table,
+            loss,
+        });
+        self.closed_total += 1;
+        while self.closed.len() > config.max_windows.max(1) {
+            if let Some(evicted) = self.closed.pop_front() {
+                self.evicted += 1;
+                self.evicted_bytes += evicted.approx_bytes();
+            }
+        }
+    }
+}
+
+/// Incremental integrator: the online tracer's pairing core
+/// (`core::pairing`) feeding windowed summaries and bounded memory
+/// instead of an end-of-stream report. See the module docs.
+pub struct WindowedIntegrator {
+    config: WindowConfig,
+    /// Pairing, loss ledger and divergence baselines — carried across
+    /// windows, exactly like the online tracer carries them across
+    /// batches.
+    pairing: Pairing,
+    win: Windows,
 }
 
 impl WindowedIntegrator {
@@ -287,31 +380,27 @@ impl WindowedIntegrator {
                 marked: BTreeMap::new(),
                 unknown: BTreeMap::new(),
             },
-            CumulativeMode::Folded => Accum::Folded {
-                funcs: BTreeMap::new(),
-                marked_cycles: 0,
-                unknown_samples: 0,
-                items: 0,
-            },
+            CumulativeMode::Folded => Accum::Folded(FoldedTotals::default()),
         };
         WindowedIntegrator {
-            symtab,
             config,
-            cores: BTreeMap::new(),
-            baselines: BTreeMap::new(),
-            loss: LossStats::default(),
-            items_processed: 0,
-            samples_seen: 0,
-            samples_attributed: 0,
-            open: OpenWindow::default(),
-            windows: VecDeque::new(),
-            windows_closed: 0,
-            windows_evicted: 0,
-            evicted_bytes: 0,
-            accum,
-            episodes: VecDeque::new(),
-            episodes_total: 0,
-            finished: false,
+            pairing: Pairing::new(
+                symtab,
+                config.freq,
+                config.divergence_factor,
+                config.warmup,
+                config.max_pending,
+            ),
+            win: Windows {
+                open: OpenWindow::default(),
+                closed: VecDeque::new(),
+                closed_total: 0,
+                evicted: 0,
+                evicted_bytes: 0,
+                accum,
+                episodes: VecDeque::new(),
+                episodes_total: 0,
+            },
         }
     }
 
@@ -320,296 +409,56 @@ impl WindowedIntegrator {
         &self.config
     }
 
-    /// Ingest one batch. Identical merge semantics to the online
-    /// worker's `process`: the batch is sorted, then marks and samples
-    /// are merged per `(core, tsc)` with the End-closes-after /
-    /// Start-opens-before tie-break, so boundary samples attribute to
-    /// the item exactly as the offline `ItemInterval::contains` would.
-    pub fn ingest(&mut self, mut batch: TraceBundle) {
+    /// Ingest one batch through the shared pairing core (sort, then the
+    /// `(core, tsc)` merge with the End-closes-after / Start-opens-before
+    /// tie-break), folding each completed item into the open window.
+    pub fn ingest(&mut self, batch: TraceBundle) {
         obs::span!("window.batch", batch.samples.len());
-        batch.sort();
-        self.samples_seen += batch.samples.len() as u64;
-        let mut si = 0;
-        let mut mi = 0;
-        while si < batch.samples.len() || mi < batch.marks.len() {
-            let sample = batch.samples.get(si).copied();
-            let mark = batch.marks.get(mi).copied();
-            let take_sample = match (sample, mark) {
-                (Some(s), Some(m)) => {
-                    let sk = (s.core, s.tsc);
-                    let mk = (m.core, m.tsc);
-                    sk < mk || (sk == mk && m.kind == MarkKind::End)
-                }
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_sample {
-                if let Some(s) = sample {
-                    self.push_sample(s);
-                }
-                si += 1;
-            } else {
-                if let Some(m) = mark {
-                    self.apply_mark(m);
-                }
-                mi += 1;
-            }
-        }
+        self.pairing
+            .ingest(batch, |item| self.win.fold(&self.config, item));
     }
 
-    fn push_sample(&mut self, s: PebsRecord) {
-        let cap = self.config.max_pending.max(1);
-        let state = self.cores.entry(s.core).or_default();
-        state.pending.push(s);
-        if state.pending.len() > cap {
-            let excess = state.pending.len() - cap;
-            state.pending.drain(..excess);
-            self.loss.samples_evicted += excess as u64;
-        }
-    }
-
-    fn apply_mark(&mut self, m: MarkRecord) {
-        let state = self.cores.entry(m.core).or_default();
-        match m.kind {
-            MarkKind::Start => {
-                if state.open.take().is_some() {
-                    self.loss.starts_abandoned += 1;
-                    self.loss.samples_discarded += state.pending.len() as u64;
-                } else {
-                    self.loss.samples_spin += state.pending.len() as u64;
-                }
-                state.pending.clear();
-                state.open = Some((m.item, m.tsc));
-            }
-            MarkKind::End => match state.open.take() {
-                Some((item, start_tsc)) if item == m.item => {
-                    let interval = ItemInterval {
-                        core: m.core,
-                        item,
-                        start_tsc,
-                        end_tsc: m.tsc,
-                    };
-                    let samples = std::mem::take(&mut state.pending);
-                    self.finish_item(interval, samples);
-                }
-                Some(_) => {
-                    self.loss.marks_mismatched += 1;
-                    self.loss.samples_discarded += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-                None => {
-                    self.loss.marks_orphaned += 1;
-                    self.loss.samples_spin += state.pending.len() as u64;
-                    state.pending.clear();
-                }
-            },
-        }
-    }
-
-    fn finish_item(&mut self, interval: ItemInterval, samples: Vec<PebsRecord>) {
-        self.items_processed += 1;
-        self.samples_attributed += samples.len() as u64;
-        // Per-function first/last/count within the interval — one
-        // occupancy span per completed interval, the exact quantum the
-        // batch estimator folds per interval index.
-        let mut spans: BTreeMap<FuncId, (u64, u64, u32)> = BTreeMap::new();
-        let mut unknown_in_item = 0u32;
-        for s in &samples {
-            if !interval.contains(s.tsc) {
-                continue;
-            }
-            if interval.is_boundary(s.tsc) {
-                self.loss.boundary_samples += 1;
-            }
-            match self.symtab.resolve(s.ip) {
-                Some(func) => {
-                    let e = spans.entry(func).or_insert((s.tsc, s.tsc, 0));
-                    e.0 = e.0.min(s.tsc);
-                    e.1 = e.1.max(s.tsc);
-                    e.2 += 1;
-                }
-                None => unknown_in_item += 1,
-            }
-        }
-
-        // Divergence check against the carried baselines: same rule,
-        // same tie-break, same train-only-on-normal update as the
-        // online tracer, so episode streams compare equal.
-        let mut worst: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for (&func, &(first, last, _count)) in &spans {
-            let elapsed = self.config.freq.cycles_to_dur(last.wrapping_sub(first));
-            let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
-            let diverges = *count >= self.config.warmup
-                && elapsed.as_ps() as f64 > *mean_ps * self.config.divergence_factor
-                && elapsed > SimDuration::ZERO;
-            if diverges {
-                let baseline = SimDuration::from_ps(*mean_ps as u64);
-                match worst {
-                    Some((_, e, _)) if e >= elapsed => {}
-                    _ => worst = Some((func, elapsed, baseline)),
-                }
-            } else {
-                *count += 1;
-                *mean_ps += (elapsed.as_ps() as f64 - *mean_ps) / *count as f64;
-            }
-        }
-        if let Some((func, elapsed, baseline_mean)) = worst {
-            obs::event("window.episode", interval.item.0);
-            self.episodes_total += 1;
-            self.open.anomalies += 1;
-            self.episodes.push_back(Episode {
-                item: interval.item,
-                func,
-                elapsed,
-                baseline_mean,
-                samples: samples.len() as u32,
-                window: self.windows_closed,
-            });
-            while self.episodes.len() > self.config.max_episodes.max(1) {
-                self.episodes.pop_front();
-            }
-        }
-
-        // Feed the open window and the cumulative accumulator from the
-        // same fold — one source of truth for both granularities.
-        self.open.items += 1;
-        self.open.samples += samples.len() as u64;
-        self.open.intervals.push(interval);
-        if unknown_in_item > 0 {
-            *self.open.unknown.entry(interval.item).or_insert(0) += unknown_in_item;
-        }
-        match &mut self.accum {
-            Accum::Exact {
-                funcs,
-                marked,
-                unknown,
-            } => {
-                for (&func, &(first, last, count)) in &spans {
-                    let e = funcs.entry((interval.item, func)).or_insert((0, 0));
-                    e.0 = e.0.wrapping_add(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
-                }
-                *marked.entry(interval.item).or_insert(0) =
-                    marked.get(&interval.item).copied().unwrap_or(0) + interval.cycles();
-                if unknown_in_item > 0 {
-                    *unknown.entry(interval.item).or_insert(0) += unknown_in_item;
-                }
-            }
-            Accum::Folded {
-                funcs,
-                marked_cycles,
-                unknown_samples,
-                items,
-            } => {
-                for (&func, &(first, last, count)) in &spans {
-                    let e = funcs.entry(func).or_insert((0, 0));
-                    e.0 += u64::from(count);
-                    e.1 = e.1.wrapping_add(last.wrapping_sub(first));
-                }
-                *marked_cycles = marked_cycles.wrapping_add(interval.cycles());
-                *unknown_samples += u64::from(unknown_in_item);
-                *items += 1;
-            }
-        }
-        for (func, (first, last, count)) in spans {
-            self.open
-                .flat
-                .push((interval.item, func, first, last, count));
-        }
-
-        if self.open.items >= self.config.window_items.max(1) {
-            self.close_window();
-        }
-    }
-
-    /// Close the open window: assemble its table through the batch
-    /// estimator's fold, snapshot the cumulative ledger, drop the raw
-    /// spans, and evict the oldest summary past the retention bound.
-    fn close_window(&mut self) {
-        if self.open.items == 0 {
-            return;
-        }
-        let open = std::mem::take(&mut self.open);
-        obs::span!("window.close", open.items);
-        let table = estimate::assemble_table(
-            open.flat,
-            open.unknown,
-            0,
-            &open.intervals,
-            self.config.freq,
-        );
-        let summary = WindowSummary {
-            index: self.windows_closed,
-            items: open.items,
-            samples: open.samples,
-            anomalies: open.anomalies,
-            table,
-            loss: self.loss,
-        };
-        self.windows_closed += 1;
-        self.windows.push_back(summary);
-        while self.windows.len() > self.config.max_windows.max(1) {
-            if let Some(evicted) = self.windows.pop_front() {
-                self.windows_evicted += 1;
-                self.evicted_bytes += evicted.approx_bytes();
-            }
-        }
-    }
-
-    /// Stream end: account for everything still buffered — open items
-    /// are truncated, trailing pending samples are spin (the online
-    /// worker's `finalize`, verbatim) — then close the partial window.
-    /// Idempotent; further `ingest` calls after this start a new stream
-    /// segment but the ledger keeps carrying forward.
+    /// Stream end: the pairing core truncates open items and counts
+    /// trailing pending samples as spin, then the partial window is
+    /// closed. Idempotent; further `ingest` calls after this start a new
+    /// stream segment and the ledger keeps carrying forward.
     pub fn finish_stream(&mut self) {
-        if self.finished {
-            return;
-        }
-        for state in self.cores.values_mut() {
-            if state.open.take().is_some() {
-                self.loss.starts_truncated += 1;
-                self.loss.samples_discarded += state.pending.len() as u64;
-            } else {
-                self.loss.samples_spin += state.pending.len() as u64;
-            }
-            state.pending.clear();
-        }
-        self.close_window();
-        self.finished = true;
+        self.pairing.finish_stream();
+        self.win.close(&self.config, self.pairing.loss);
     }
 
     /// Counter snapshot (cheap; no tables).
     pub fn report(&self) -> WindowReport {
         WindowReport {
-            items_processed: self.items_processed,
-            samples_seen: self.samples_seen,
-            samples_attributed: self.samples_attributed,
-            windows_closed: self.windows_closed,
-            windows_evicted: self.windows_evicted,
-            evicted_bytes: self.evicted_bytes,
-            episodes: self.episodes_total,
-            loss: self.loss,
+            items_processed: self.pairing.items,
+            samples_seen: self.pairing.samples_seen,
+            samples_attributed: self.pairing.samples_attributed,
+            windows_closed: self.win.closed_total,
+            windows_evicted: self.win.evicted,
+            evicted_bytes: self.win.evicted_bytes,
+            episodes: self.win.episodes_total,
+            loss: self.pairing.loss,
         }
     }
 
     /// Retained window summaries, oldest first.
     pub fn windows(&self) -> impl Iterator<Item = &WindowSummary> {
-        self.windows.iter()
+        self.win.closed.iter()
     }
 
     /// Retained anomaly episodes, oldest first.
     pub fn episodes(&self) -> impl Iterator<Item = &Episode> {
-        self.episodes.iter()
+        self.win.episodes.iter()
     }
 
     /// The cumulative loss ledger (never reset).
     pub fn loss(&self) -> LossStats {
-        self.loss
+        self.pairing.loss
     }
 
     /// Windows closed so far.
     pub fn windows_closed(&self) -> u64 {
-        self.windows_closed
+        self.win.closed_total
     }
 
     /// Render the exact cumulative table — `None` in
@@ -625,7 +474,7 @@ impl WindowedIntegrator {
             funcs,
             marked,
             unknown,
-        } = &self.accum
+        } = &self.win.accum
         else {
             return None;
         };
@@ -655,46 +504,27 @@ impl WindowedIntegrator {
     /// mode they are derived by folding the exact accumulator, so the
     /// two modes can be cross-checked against each other.
     pub fn folded_totals(&self) -> FoldedTotals {
-        match &self.accum {
-            Accum::Folded {
-                funcs,
-                marked_cycles,
-                unknown_samples,
-                items,
-            } => FoldedTotals {
-                funcs: funcs
-                    .iter()
-                    .map(|(&func, &(samples, cycles))| (func, samples, cycles))
-                    .collect(),
-                marked_cycles: *marked_cycles,
-                unknown_samples: *unknown_samples,
-                items: *items,
-            },
+        let (funcs, marked, unknown) = match &self.win.accum {
+            Accum::Folded(totals) => return totals.clone(),
             Accum::Exact {
                 funcs,
                 marked,
                 unknown,
-            } => {
-                let mut fold: BTreeMap<FuncId, (u64, u64)> = BTreeMap::new();
-                for (&(_item, func), &(samples, cycles)) in funcs {
-                    let e = fold.entry(func).or_insert((0, 0));
-                    e.0 += u64::from(samples);
-                    e.1 = e.1.wrapping_add(cycles);
-                }
-                FoldedTotals {
-                    funcs: fold
-                        .iter()
-                        .map(|(&func, &(samples, cycles))| (func, samples, cycles))
-                        .collect(),
-                    marked_cycles: marked.values().fold(0u64, |a, &c| a.wrapping_add(c)),
-                    unknown_samples: unknown.values().map(|&n| u64::from(n)).sum(),
-                    // Completed intervals, not distinct ids: shared
-                    // item ids fold many intervals into one map entry,
-                    // and the Folded twin counts every completion.
-                    items: self.items_processed,
-                }
-            }
+            } => (funcs, marked, unknown),
+        };
+        let mut totals = FoldedTotals {
+            funcs: Vec::new(),
+            marked_cycles: marked.values().fold(0u64, |a, &c| a.wrapping_add(c)),
+            unknown_samples: unknown.values().map(|&n| u64::from(n)).sum(),
+            // Completed intervals, not distinct ids: shared item ids
+            // fold many intervals into one map entry, and the Folded
+            // twin counts every completion.
+            items: self.pairing.items,
+        };
+        for (&(_item, func), &(samples, cycles)) in funcs {
+            totals.add(func, u64::from(samples), cycles);
         }
+        totals
     }
 }
 
@@ -703,7 +533,9 @@ mod tests {
     use super::*;
     use crate::integrate::{integrate, MappingMode};
     use crate::online::{OnlineConfig, OnlineTracer};
-    use fluctrace_cpu::{HwEvent, SymbolTableBuilder, VirtAddr, NO_TAG};
+    use fluctrace_cpu::{
+        HwEvent, MarkKind, MarkRecord, PebsRecord, SymbolTableBuilder, VirtAddr, NO_TAG,
+    };
 
     fn freq() -> Freq {
         Freq::ghz(3)

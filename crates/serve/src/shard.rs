@@ -186,16 +186,8 @@ fn run_producer(
         if obs::recording() {
             obs::gauge!("serve.queue.occupancy_milli").record(occ_milli);
         }
-        let factor = adaptive.observe(occupancy) as usize;
-        if factor > 1 {
-            let before = batch.samples.len();
-            let mut i = 0usize;
-            batch.samples.retain(|_| {
-                let keep = i.is_multiple_of(factor);
-                i += 1;
-                keep
-            });
-            let thinned = (before - batch.samples.len()) as u64;
+        let thinned = adaptive.thin(occupancy, &mut batch);
+        if thinned > 0 {
             counters
                 .samples_thinned
                 .fetch_add(thinned, Ordering::AcqRel);
@@ -226,6 +218,20 @@ fn run_producer(
     // queued, finishes the stream, and raises `drained`.
 }
 
+/// Close a `ring_empty` wait that began at tick `t0`: fold its length
+/// into the shard's idle ticks and its wait log.
+fn record_ring_empty(id: u32, t0: u64, wait: &Mutex<WaitLog>, counters: &ShardCounters) {
+    let cycles = obs::now_ticks().wrapping_sub(t0);
+    counters.idle_ticks.fetch_add(cycles, Ordering::AcqRel);
+    wait.lock().record(WaitEdge {
+        core: id,
+        tsc: t0,
+        cycles,
+        cause: WaitCause::RingEmpty,
+        peer: id,
+    });
+}
+
 fn run_consumer(
     id: u32,
     rx: Receiver<TraceBundle>,
@@ -244,34 +250,13 @@ fn run_consumer(
         } else {
             None
         };
-        let batch = match rx.recv() {
-            Ok(b) => b,
-            Err(_) => {
-                if let Some(t0) = waited {
-                    let cycles = obs::now_ticks().wrapping_sub(t0);
-                    counters.idle_ticks.fetch_add(cycles, Ordering::AcqRel);
-                    wait.lock().record(WaitEdge {
-                        core: id,
-                        tsc: t0,
-                        cycles,
-                        cause: WaitCause::RingEmpty,
-                        peer: id,
-                    });
-                }
-                break;
-            }
-        };
+        let received = rx.recv();
         if let Some(t0) = waited {
-            let cycles = obs::now_ticks().wrapping_sub(t0);
-            counters.idle_ticks.fetch_add(cycles, Ordering::AcqRel);
-            wait.lock().record(WaitEdge {
-                core: id,
-                tsc: t0,
-                cycles,
-                cause: WaitCause::RingEmpty,
-                peer: id,
-            });
+            record_ring_empty(id, t0, &wait, &counters);
         }
+        let Ok(batch) = received else {
+            break;
+        };
         let t0 = obs::now_ticks();
         let report = {
             let mut wi = integrator.lock();
