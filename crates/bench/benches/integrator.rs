@@ -3,7 +3,9 @@
 //! attribute, and how fast is fluctuation detection?
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fluctrace_core::{detect, integrate, integrate_with_threads, EstimateTable, MappingMode};
+use fluctrace_core::{
+    detect, integrate_soa, integrate_soa_with_threads, EstimateTable, MappingMode,
+};
 use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, SymbolTableBuilder,
     TraceBundle, NO_TAG,
@@ -59,7 +61,7 @@ fn bench_integrate(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n));
     g.bench_function("interval_mode_100k_samples", |b| {
         b.iter(|| {
-            integrate(
+            integrate_soa(
                 black_box(&bundle),
                 &symtab,
                 Freq::ghz(3),
@@ -69,7 +71,7 @@ fn bench_integrate(c: &mut Criterion) {
     });
     g.bench_function("register_tag_mode_100k_samples", |b| {
         b.iter(|| {
-            integrate(
+            integrate_soa(
                 black_box(&bundle),
                 &symtab,
                 Freq::ghz(3),
@@ -84,7 +86,7 @@ fn bench_integrate(c: &mut Criterion) {
     for threads in [1usize, 4] {
         g.bench_function(format!("interval_mode_4core_{threads}_threads"), |b| {
             b.iter(|| {
-                integrate_with_threads(
+                integrate_soa_with_threads(
                     black_box(&mc_bundle),
                     &mc_symtab,
                     Freq::ghz(3),
@@ -99,18 +101,13 @@ fn bench_integrate(c: &mut Criterion) {
 
 fn bench_estimate(c: &mut Criterion) {
     let (bundle, symtab) = synthetic_bundle(1, 1_000, 100);
-    let it = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
+    let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
     let mut g = c.benchmark_group("estimate");
-    g.throughput(Throughput::Elements(it.samples.len() as u64));
+    g.throughput(Throughput::Elements(soa.len() as u64));
     g.bench_function("estimate_table_100k_samples", |b| {
-        b.iter(|| EstimateTable::from_integrated(black_box(&it)))
+        b.iter(|| EstimateTable::from_soa(black_box(&soa)))
     });
-    // The retired BTreeMap-per-sample estimator, kept as the oracle —
-    // benchmarking both keeps the linear scan honest.
-    g.bench_function("estimate_table_reference_100k_samples", |b| {
-        b.iter(|| EstimateTable::from_integrated_reference(black_box(&it)))
-    });
-    let table = EstimateTable::from_integrated(&it);
+    let table = EstimateTable::from_soa(&soa);
     g.bench_function("detect_1k_items", |b| {
         b.iter(|| {
             detect(

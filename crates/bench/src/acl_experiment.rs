@@ -129,8 +129,8 @@ pub fn run_acl(config: AclRunConfig) -> AclRunResult {
     let pebs_bytes = reports[1].pebs.bytes;
     let acl_core_busy = reports[1].busy_time;
 
-    // Hybrid estimates (profiled runs) via the SoA fast path; the
-    // conformance harness pins it byte-identical to the AoS reference.
+    // Hybrid estimates (profiled runs) via the columnar kernel; the
+    // conformance harness pins it byte-identical to the naive oracle.
     let mut pipeline: Option<PipelineStats> = None;
     let estimates: Option<EstimateTable> = config.reset.map(|_| {
         let (soa, mut stats) = integrate_soa_timed(

@@ -3,14 +3,13 @@
 //!
 //! ```text
 //! perf-hunt                      # measure, print the report
-//! perf-hunt --gate               # exit 1 unless speedup CI >= floor
-//! perf-hunt --gate --floor 1.5   # custom floor
+//! perf-hunt --gate               # exit 1 unless the cost CI <= CEILING
 //! perf-hunt --gate --mutant-slow # teeth check: MUST exit 1
 //! perf-hunt --record [--label L] # append to artifacts/BENCH_hotpath.json
 //! perf-hunt --bisect [--baseline PATH] [--slack 0.15]
 //! ```
 //!
-//! `--bisect` compares HEAD's new-path throughput against the latest
+//! `--bisect` compares HEAD's pipeline throughput against the latest
 //! recorded trajectory entry and exits 1 on a significant regression —
 //! wired for `git bisect run perf-hunt --bisect`.
 //!
@@ -20,14 +19,13 @@
 use fluctrace_bench::obs_support;
 use fluctrace_bench::perf_hunt::{
     compare_to_baseline, default_trajectory_path, evaluate_gate, measure_depgraph,
-    repo_root_bench_path, run_hunt, HuntConfig, Mutant, Trajectory,
+    repo_root_bench_path, run_hunt, HuntConfig, Mutant, Trajectory, CEILING,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     gate: bool,
-    floor: f64,
     record: bool,
     label: String,
     bisect: bool,
@@ -39,7 +37,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         gate: false,
-        floor: 2.0,
         record: false,
         label: "HEAD".to_string(),
         bisect: false,
@@ -54,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
             "--record" => args.record = true,
             "--bisect" => args.bisect = true,
             "--mutant-slow" => args.mutant_slow = true,
-            "--floor" => args.floor = num(&mut it, "--floor")?,
             "--slack" => args.slack = num(&mut it, "--slack")?,
             "--label" => args.label = val(&mut it, "--label")?,
             "--baseline" => args.baseline = Some(PathBuf::from(val(&mut it, "--baseline")?)),
@@ -89,7 +85,7 @@ fn main() -> ExitCode {
     let mut cfg = HuntConfig::from_env();
     if args.mutant_slow {
         cfg.mutant = Mutant::SlowNew(8);
-        println!("[perf-hunt] MUTANT: new path deliberately slowed ~9x (teeth check)");
+        println!("[perf-hunt] MUTANT: pipeline deliberately slowed ~9x (teeth check)");
     }
 
     println!(
@@ -103,32 +99,27 @@ fn main() -> ExitCode {
     report.label = args.label.clone();
 
     println!(
-        "[perf-hunt] old {:>8.3} ms (CI [{:.3}, {:.3}])  {:>7.2} Msamples/s",
-        report.old_mean.slope / 1e6,
-        report.old_mean.lo / 1e6,
-        report.old_mean.hi / 1e6,
-        report.old_samples_per_sec() / 1e6,
+        "[perf-hunt] scan     {:>8.3} ms (CI [{:.3}, {:.3}])  {:>7.2} Msamples/s",
+        report.scan_mean.slope / 1e6,
+        report.scan_mean.lo / 1e6,
+        report.scan_mean.hi / 1e6,
+        report.scan_samples_per_sec() / 1e6,
     );
     println!(
-        "[perf-hunt] new {:>8.3} ms (CI [{:.3}, {:.3}])  {:>7.2} Msamples/s",
-        report.new_mean.slope / 1e6,
-        report.new_mean.lo / 1e6,
-        report.new_mean.hi / 1e6,
-        report.new_samples_per_sec() / 1e6,
+        "[perf-hunt] pipeline {:>8.3} ms (CI [{:.3}, {:.3}])  {:>7.2} Msamples/s",
+        report.pipeline_mean.slope / 1e6,
+        report.pipeline_mean.lo / 1e6,
+        report.pipeline_mean.hi / 1e6,
+        report.samples_per_sec() / 1e6,
     );
     println!(
-        "[perf-hunt] old-path stages: integrate {:.2} Msamples/s, estimate {:.2} Msamples/s",
-        report.old_integrate_samples_per_sec() / 1e6,
-        report.old_estimate_samples_per_sec() / 1e6,
+        "[perf-hunt] pipeline stages: integrate {:.2} Msamples/s, estimate {:.2} Msamples/s",
+        report.integrate_samples_per_sec() / 1e6,
+        report.estimate_samples_per_sec() / 1e6,
     );
     println!(
-        "[perf-hunt] new-path stages: integrate {:.2} Msamples/s, estimate {:.2} Msamples/s",
-        report.new_integrate_samples_per_sec() / 1e6,
-        report.new_estimate_samples_per_sec() / 1e6,
-    );
-    println!(
-        "[perf-hunt] speedup {:.2}x (95% CI [{:.2}, {:.2}]), tables byte-identical: {}",
-        report.speedup.slope, report.speedup.lo, report.speedup.hi, report.verified,
+        "[perf-hunt] cost {:.2} scans (95% CI [{:.2}, {:.2}]), tables byte-identical across thread counts: {}",
+        report.cost.slope, report.cost.lo, report.cost.hi, report.verified,
     );
 
     let mut ok = true;
@@ -159,7 +150,7 @@ fn main() -> ExitCode {
     }
 
     if args.gate {
-        let out = evaluate_gate(&report, args.floor);
+        let out = evaluate_gate(&report, CEILING);
         println!("[perf-hunt] gate: {}", out.detail);
         ok &= out.pass;
     }

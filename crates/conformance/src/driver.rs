@@ -3,11 +3,10 @@
 //!
 //! [`check_workload`] runs a generated [`Workload`] through
 //!
-//! 1. the sharded offline pipeline (`integrate_with_threads` at 1, 2 and
-//!    4 workers, the `from_integrated_reference` estimator, and the
-//!    columnar fast path — `integrate_soa_with_threads` +
-//!    `EstimateTable::from_soa`, with a byte-exact `to_integrated`
-//!    round-trip at one worker),
+//! 1. the sharded columnar kernel (`integrate_soa_with_threads` at 1, 2
+//!    and 4 workers, estimated by `EstimateTable::from_soa` and, through
+//!    the row transpose, by `from_integrated`), in interval mode on the
+//!    workload and in register-tag mode on a tagged copy of it,
 //! 2. the online tracer (`OnlineTracer`, blocking submission, adaptive
 //!    degradation off), and
 //! 3. the naive oracles from [`crate::oracle`],
@@ -21,9 +20,8 @@
 use crate::gen::Workload;
 use crate::oracle::{self, OracleOffline, OracleOnline};
 use fluctrace_core::online::{OnlineConfig, OnlineReport, OnlineTracer};
-use fluctrace_core::{
-    integrate_soa_with_threads, integrate_with_threads, EstimateTable, IntervalError, MappingMode,
-};
+use fluctrace_core::soa::NO_ITEM;
+use fluctrace_core::{integrate_soa_with_threads, EstimateTable, IntervalError, MappingMode};
 use fluctrace_cpu::{PebsRecord, TraceBundle};
 use fluctrace_store::{write_bundle_to_vec, SharedBuf, StoreConfig, TraceReader, TraceWriter};
 use serde::Serialize;
@@ -118,6 +116,8 @@ pub struct DiffSummary {
     /// Sample rows the store's redundancy suppression elided (and the
     /// ledger replayed) across the store legs of this workload.
     pub store_elided: u64,
+    /// Samples the register-tag leg attributed through their tags.
+    pub tagged: u64,
 }
 
 /// One divergence between two executions of the same workload.
@@ -190,6 +190,7 @@ pub fn check_workload(w: &Workload) -> Result<DiffSummary, Disagreement> {
     };
 
     check_offline(w, &oracle_off, &mut summary)?;
+    check_register_tag(w, &oracle_off, &mut summary)?;
     check_online(w, &oracle_on, &oracle_off, &mut summary)?;
     check_store(w, &oracle_off, &mut summary)?;
     Ok(summary)
@@ -351,8 +352,8 @@ fn check_store(
         // the oracle golden, exactly as the in-memory pipeline does.
         let mut sorted = got.clone();
         sorted.sort();
-        let it = integrate_with_threads(&sorted, &w.symtab, w.freq, MappingMode::Intervals, 1);
-        let json = CanonicalTable::from_pipeline(&EstimateTable::from_integrated(&it)).to_json();
+        let soa = integrate_soa_with_threads(&sorted, &w.symtab, w.freq, MappingMode::Intervals, 1);
+        let json = CanonicalTable::from_pipeline(&EstimateTable::from_soa(&soa)).to_json();
         let golden = CanonicalTable::from_oracle(oracle_off).to_json();
         if json != golden {
             return Err(fail(
@@ -514,8 +515,8 @@ fn check_store_spill(w: &Workload) -> Result<(), Disagreement> {
     Ok(())
 }
 
-/// Offline pipeline (all thread counts + reference estimator) vs the
-/// brute-force oracle.
+/// Offline pipeline (all thread counts, columnar and row estimates) vs
+/// the brute-force oracle.
 fn check_offline(
     w: &Workload,
     oracle_off: &OracleOffline,
@@ -527,10 +528,9 @@ fn check_offline(
 
     let golden = CanonicalTable::from_oracle(oracle_off).to_json();
     for threads in [1usize, 2, 4] {
-        let it =
-            integrate_with_threads(&bundle, &w.symtab, w.freq, MappingMode::Intervals, threads);
         let soa =
             integrate_soa_with_threads(&bundle, &w.symtab, w.freq, MappingMode::Intervals, threads);
+        let it = soa.to_integrated();
 
         if threads == 1 {
             summary.intervals = it.intervals.len() as u64;
@@ -577,33 +577,8 @@ fn check_offline(
             }
         }
 
-        if threads == 1 {
-            // The columnar trace must round-trip to the exact AoS trace:
-            // same attributed rows, same intervals, same errors. Trace
-            // values carry no timings, so `==` is exact equality.
-            let back = soa.to_integrated();
-            if back != it {
-                return Err(fail(
-                    seed,
-                    "soa-roundtrip",
-                    format!(
-                        "to_integrated diverges from the AoS trace ({} vs {} samples, \
-                         {} vs {} intervals)",
-                        back.samples.len(),
-                        it.samples.len(),
-                        back.intervals.len(),
-                        it.intervals.len()
-                    ),
-                ));
-            }
-        }
-
         for (which, table) in [
             ("estimate", EstimateTable::from_integrated(&it)),
-            (
-                "estimate-reference",
-                EstimateTable::from_integrated_reference(&it),
-            ),
             ("estimate-soa", EstimateTable::from_soa(&soa)),
         ] {
             if table.samples_missing_span != 0 {
@@ -626,6 +601,64 @@ fn check_offline(
             }
         }
     }
+    Ok(())
+}
+
+/// Register-tag mode (§V.A) vs the brute-force tag oracle, on a copy of
+/// the workload whose samples carry their containing interval's item in
+/// `r13` (`NO_TAG` in gaps). Runs split where an interval-mode span
+/// would not (adjacent same-item intervals merge, gaps split), so the
+/// tag oracle — not the interval one — is the reference.
+fn check_register_tag(
+    w: &Workload,
+    oracle_off: &OracleOffline,
+    summary: &mut DiffSummary,
+) -> Result<(), Disagreement> {
+    let seed = w.spec.seed;
+    let mut tagged = w.bundle.clone();
+    tagged.samples = oracle::tag_samples(&oracle_off.intervals, &w.bundle.samples);
+    tagged.sort();
+    let oracle_tag = oracle::tag_oracle(&tagged.marks, &tagged.samples, &w.symtab, w.freq);
+    if oracle_tag.attributed != oracle_off.attributed {
+        return Err(fail(
+            seed,
+            "tag-oracle",
+            format!(
+                "tagging attributes {} samples, intervals {}",
+                oracle_tag.attributed, oracle_off.attributed
+            ),
+        ));
+    }
+    let golden = CanonicalTable::from_oracle(&oracle_tag).to_json();
+    for threads in [1usize, 2, 4] {
+        let soa = integrate_soa_with_threads(
+            &tagged,
+            &w.symtab,
+            w.freq,
+            MappingMode::RegisterTag,
+            threads,
+        );
+        let attributed = soa.cols.item.iter().filter(|&&i| i != NO_ITEM).count() as u64;
+        if attributed != oracle_tag.attributed {
+            return Err(fail(
+                seed,
+                "tag-attribution",
+                format!(
+                    "@{threads}t: pipeline {attributed} != oracle {}",
+                    oracle_tag.attributed
+                ),
+            ));
+        }
+        let json = CanonicalTable::from_pipeline(&EstimateTable::from_soa(&soa)).to_json();
+        if json != golden {
+            return Err(fail(
+                seed,
+                "tag-table",
+                format!("@{threads}t:\n  pipeline: {json}\n  oracle:   {golden}"),
+            ));
+        }
+    }
+    summary.tagged = oracle_tag.attributed;
     Ok(())
 }
 

@@ -1,9 +1,10 @@
 //! The naive reference implementations ("oracles").
 //!
 //! Everything here favours obviousness over speed: attribution is a
-//! brute-force scan over all intervals per sample, estimates are built
-//! with one `BTreeMap` insert per observation, and the online replay is
-//! a literal transcription of the documented per-core state machine.
+//! brute-force scan over all intervals per sample (or a plain `r13`
+//! decode in register-tag mode), estimates are built with one `BTreeMap`
+//! insert per observation, and the online replay is a literal
+//! transcription of the documented per-core state machine.
 //! The oracles share **no code** with `fluctrace-core` beyond the plain
 //! data types (`MarkRecord`, `PebsRecord`, `SymbolTable`, `Freq`), so a
 //! bug in the real pipeline's sharding, merge cursors, span folding or
@@ -20,7 +21,9 @@
 //! order with plain stable sorts and a two-cursor walk, then apply the
 //! dumbest data structures that can express the semantics.
 
-use fluctrace_cpu::{CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable};
+use fluctrace_cpu::{
+    CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, NO_TAG,
+};
 use fluctrace_sim::Freq;
 use std::collections::BTreeMap;
 
@@ -166,7 +169,7 @@ pub fn offline_oracle(
     // (item, interval index, func) -> (first, last, count). The interval
     // index keys the occupancy span so preempted/duplicate items never
     // bridge timestamps across spans.
-    let mut spans: BTreeMap<(u64, usize, u32), (u64, u64, u32)> = BTreeMap::new();
+    let mut spans: SpanMap = BTreeMap::new();
     let mut unknown: BTreeMap<u64, u32> = BTreeMap::new();
     let mut attributed = 0u64;
     let mut unattributed = 0u64;
@@ -179,28 +182,64 @@ pub fn offline_oracle(
         let Some(iv) = intervals.get(idx) else {
             continue; // unreachable: locate returned a valid index
         };
-        match symtab.resolve(s.ip) {
-            Some(func) => {
-                let e = spans
-                    .entry((iv.item.0, idx, func.0))
-                    .or_insert((s.tsc, s.tsc, 0));
-                e.0 = e.0.min(s.tsc);
-                e.1 = e.1.max(s.tsc);
-                e.2 += 1;
-            }
-            None => *unknown.entry(iv.item.0).or_insert(0) += 1,
-        }
+        observe(&mut spans, &mut unknown, symtab, iv.item.0, idx as u64, s);
     }
 
+    OracleOffline {
+        items: fold_rows(&spans, &unknown, &intervals, freq),
+        attributed,
+        unattributed,
+        errors,
+        intervals,
+    }
+}
+
+/// `(item, span id, func) -> (first, last, count)`: one entry per
+/// occupancy span and function.
+type SpanMap = BTreeMap<(u64, u64, u32), (u64, u64, u32)>;
+
+/// Record one attributed sample: one `BTreeMap` insert per observation,
+/// or one unknown-function count when the IP resolves nowhere.
+fn observe(
+    spans: &mut SpanMap,
+    unknown: &mut BTreeMap<u64, u32>,
+    symtab: &SymbolTable,
+    item: u64,
+    span: u64,
+    s: &PebsRecord,
+) {
+    match symtab.resolve(s.ip) {
+        Some(func) => {
+            let e = spans
+                .entry((item, span, func.0))
+                .or_insert((s.tsc, s.tsc, 0));
+            e.0 = e.0.min(s.tsc);
+            e.1 = e.1.max(s.tsc);
+            e.2 += 1;
+        }
+        None => *unknown.entry(item).or_insert(0) += 1,
+    }
+}
+
+/// Fold spans into canonical item rows exactly as the paper specifies —
+/// per occupancy span, first→last timestamp difference, summed in
+/// cycles, converted to time once — with exact marked totals from the
+/// intervals.
+fn fold_rows(
+    spans: &SpanMap,
+    unknown: &BTreeMap<u64, u32>,
+    intervals: &[OracleInterval],
+    freq: Freq,
+) -> Vec<OracleItemRow> {
     // Exact totals from the marks.
     let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
-    for iv in &intervals {
+    for iv in intervals {
         *totals.entry(iv.item.0).or_insert(0) += iv.end.wrapping_sub(iv.start);
     }
 
     // Sum spans per (item, func) in cycles; convert once.
     let mut cycle_sums: BTreeMap<(u64, u32), (u32, u64)> = BTreeMap::new();
-    for (&(item, _idx, func), &(first, last, count)) in &spans {
+    for (&(item, _span, func), &(first, last, count)) in spans {
         let e = cycle_sums.entry((item, func)).or_insert((0, 0));
         e.0 += count;
         e.1 += last.wrapping_sub(first);
@@ -228,14 +267,75 @@ pub fn offline_oracle(
             unknown_func_samples: 0,
         });
     }
-    for (&item, &n) in &unknown {
+    for (&item, &n) in unknown {
         if let Some(row) = items.get_mut(&item) {
             row.unknown_func_samples = n;
         }
     }
+    items.into_values().collect()
+}
+
+/// Re-tag samples the way an `r13`-tagging target (§V.A) would have:
+/// each sample carries the tag of the item whose interval contains it
+/// (brute-force [`locate`]), and `NO_TAG` in the gaps. Tags follow the
+/// documented `r13 = item + 1` convention, so `0` stays "no item".
+pub fn tag_samples(intervals: &[OracleInterval], samples: &[PebsRecord]) -> Vec<PebsRecord> {
+    samples
+        .iter()
+        .map(|s| {
+            let r13 = match locate(intervals, s).and_then(|idx| intervals.get(idx)) {
+                Some(iv) => iv.item.0 + 1,
+                None => NO_TAG,
+            };
+            PebsRecord { r13, ..*s }
+        })
+        .collect()
+}
+
+/// Brute-force register-tag oracle: every sample belongs to the item its
+/// `r13` tag names (`r13 − 1`; `NO_TAG` means none), whatever the marks
+/// say. An occupancy span is a run of consecutive samples (in canonical
+/// order) sharing one `(core, tag)`, so a gap sample also ends a run.
+/// Marked totals still come from the paired marks.
+pub fn tag_oracle(
+    marks: &[MarkRecord],
+    samples: &[PebsRecord],
+    symtab: &SymbolTable,
+    freq: Freq,
+) -> OracleOffline {
+    let mut marks = marks.to_vec();
+    let mut samples = samples.to_vec();
+    canonical_sort(&mut marks, &mut samples);
+    let (intervals, errors) = pair_marks(&marks);
+
+    let mut spans: SpanMap = BTreeMap::new();
+    let mut unknown: BTreeMap<u64, u32> = BTreeMap::new();
+    let mut attributed = 0u64;
+    let mut unattributed = 0u64;
+    let mut run = 0u64;
+    let mut prev: Option<(CoreId, u64)> = None;
+    for s in &samples {
+        if prev != Some((s.core, s.r13)) {
+            run += 1;
+            prev = Some((s.core, s.r13));
+        }
+        if s.r13 == NO_TAG {
+            unattributed += 1;
+            continue;
+        }
+        attributed += 1;
+        observe(
+            &mut spans,
+            &mut unknown,
+            symtab,
+            s.r13.wrapping_sub(1),
+            run,
+            s,
+        );
+    }
 
     OracleOffline {
-        items: items.into_values().collect(),
+        items: fold_rows(&spans, &unknown, &intervals, freq),
         attributed,
         unattributed,
         errors,

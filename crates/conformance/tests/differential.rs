@@ -55,6 +55,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
     let mut multibatch = 0u32;
     let mut store_bytes = 0u64;
     let mut store_elided = 0u64;
+    let mut tagged = 0u64;
     for seed in 0..SWEEP_SEEDS {
         let spec = spec_from_seed(seed);
         let summary = check_seed(seed);
@@ -78,6 +79,7 @@ fn sweep_seeds_agree_with_shape_coverage() {
         }
         store_bytes += summary.store_bytes;
         store_elided += summary.store_elided;
+        tagged += summary.tagged;
     }
     // Shape-coverage floor: each hard family appears many times.
     assert!(wrap >= 30, "only {wrap} near-wrap workloads");
@@ -99,6 +101,11 @@ fn sweep_seeds_agree_with_shape_coverage() {
     assert!(
         store_elided >= 1000,
         "only {store_elided} rows elided across the sweep"
+    );
+    // The register-tag leg must attribute real tagged samples.
+    assert!(
+        tagged >= 1000,
+        "only {tagged} tagged samples across the sweep"
     );
 }
 

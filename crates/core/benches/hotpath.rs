@@ -1,20 +1,17 @@
-//! Old-vs-new hot-path kernels, head to head: the AoS row pipeline
-//! against the columnar (SoA) fast path, for both the merge-cursor
-//! attribution kernel and the batched estimate fold.
+//! The hot-path kernels one at a time: the columnar merge-cursor
+//! attribution kernel and the run-driven estimate fold.
 //!
 //! The statistical regression gate lives in `perf-hunt`
 //! (`crates/bench`); these benches are the per-kernel microscope —
 //! run `cargo bench -p fluctrace-core --bench hotpath` after touching
-//! `integrate.rs`, `soa.rs` or `estimate.rs`.
+//! `soa.rs`, `estimate.rs` or `pairing.rs`.
 //!
 //! Workload size honours `FLUCTRACE_PERF_SAMPLES` (approximate total
 //! samples, default 200 000 — cache-resident so per-kernel deltas are
 //! visible; the gate in `perf-hunt` measures at production volume).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fluctrace_core::{
-    integrate_soa_with_threads, integrate_with_threads, EstimateTable, MappingMode,
-};
+use fluctrace_core::{integrate_soa_with_threads, EstimateTable, MappingMode};
 use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, SymbolTableBuilder,
     TraceBundle,
@@ -99,17 +96,6 @@ fn bench_attribution(c: &mut Criterion) {
     let freq = Freq::ghz(3);
     let mut g = c.benchmark_group("hotpath/attribution");
     g.throughput(Throughput::Elements(n)).sample_size(12);
-    g.bench_function("old-aos-rows", |b| {
-        b.iter(|| {
-            black_box(integrate_with_threads(
-                &bundle,
-                &symtab,
-                freq,
-                MappingMode::Intervals,
-                1,
-            ))
-        })
-    });
     g.bench_function("new-soa-columns", |b| {
         b.iter(|| {
             black_box(integrate_soa_with_threads(
@@ -128,13 +114,9 @@ fn bench_estimate(c: &mut Criterion) {
     let (bundle, symtab) = synthetic_bundle();
     let n = bundle.samples.len() as u64;
     let freq = Freq::ghz(3);
-    let it = integrate_with_threads(&bundle, &symtab, freq, MappingMode::Intervals, 1);
     let soa = integrate_soa_with_threads(&bundle, &symtab, freq, MappingMode::Intervals, 1);
     let mut g = c.benchmark_group("hotpath/estimate");
     g.throughput(Throughput::Elements(n)).sample_size(12);
-    g.bench_function("old-row-scan", |b| {
-        b.iter(|| black_box(EstimateTable::from_integrated(&it)))
-    });
     g.bench_function("new-run-scan", |b| {
         b.iter(|| black_box(EstimateTable::from_soa(&soa)))
     });

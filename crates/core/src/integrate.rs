@@ -14,26 +14,15 @@
 //! outside every known function keep `None` in the respective axis; they
 //! are retained because profiles (§V.B.1) still use them.
 //!
-//! ## Parallel execution
-//!
-//! The paper's mapping is strictly per-core: a sample can only belong to
-//! an interval on its own core. Both streams arrive sorted by
-//! `(core, tsc)`, so the bundle splits into per-core shards with two
-//! `partition_point` walks, every shard is processed independently on a
-//! scoped worker pool (`FLUCTRACE_THREADS`, see [`crate::parallel`]),
-//! and the results are spliced back in core order. The output is
-//! **bit-identical** for every thread count, including the fully
-//! sequential `FLUCTRACE_THREADS=1`.
-//!
-//! Within a shard, attribution no longer binary-searches per sample:
-//! samples and intervals are co-walked with a merge cursor (both are
-//! time-sorted), making the per-shard cost linear instead of
-//! `O(n log m)` and keeping the interval array walk cache-friendly.
+//! This module holds the row form of the result ([`IntegratedTrace`])
+//! that profiles, metrics, export and reports read. The attribution
+//! itself is the columnar kernel in [`crate::soa`]; [`integrate`] runs
+//! it and transposes, so both forms are bit-identical for every thread
+//! count, including the fully sequential `FLUCTRACE_THREADS=1`.
 
-use crate::interval::{build_intervals, IntervalError, ItemInterval};
-use crate::parallel;
-use fluctrace_cpu::{decode_tag, CoreId, FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle};
-use fluctrace_obs as obs;
+use crate::interval::{IntervalError, ItemInterval};
+use crate::soa::{integrate_soa, integrate_soa_with_threads};
+use fluctrace_cpu::{CoreId, FuncId, ItemId, SymbolTable, TraceBundle};
 use fluctrace_sim::Freq;
 use serde::{Deserialize, Serialize};
 
@@ -70,7 +59,7 @@ pub struct AttributedSample {
 /// Integration fills the interval/attribution stages
 /// ([`crate::integrate_soa_timed`] returns them beside the trace, never
 /// inside it); the estimation stage is reported by
-/// [`crate::EstimateTable::from_integrated_timed`] and composed in by
+/// [`crate::EstimateTable::from_soa_timed`] and composed in by
 /// callers (see `fluctrace-bench`). Timings come
 /// from the process-wide `obs` clock: real nanoseconds in bench
 /// binaries (which install the wall clock), opaque logical ticks
@@ -142,20 +131,6 @@ pub struct IntegratedTrace {
     pub(crate) item_index: Vec<(ItemId, u32, u32)>,
 }
 
-/// Below this many samples the shard fan-out is pure overhead; run the
-/// single-threaded path (same results by construction).
-pub(crate) const PARALLEL_MIN_SAMPLES: usize = 4096;
-
-/// Worker count for the auto-sized entry points: sequential below
-/// [`PARALLEL_MIN_SAMPLES`], else the `FLUCTRACE_THREADS` pool size.
-pub(crate) fn auto_threads(bundle: &TraceBundle) -> usize {
-    if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
-        1
-    } else {
-        parallel::configured_threads()
-    }
-}
-
 /// Integrate a trace bundle against a symbol table.
 ///
 /// `bundle` must be sorted (see [`TraceBundle::sort`]); `freq` is the
@@ -168,7 +143,7 @@ pub fn integrate(
     freq: Freq,
     mode: MappingMode,
 ) -> IntegratedTrace {
-    integrate_with_threads(bundle, symtab, freq, mode, auto_threads(bundle))
+    integrate_soa(bundle, symtab, freq, mode).to_integrated()
 }
 
 /// [`integrate`] with an explicit worker count, honoured even for tiny
@@ -181,212 +156,7 @@ pub fn integrate_with_threads(
     mode: MappingMode,
     threads: usize,
 ) -> IntegratedTrace {
-    integrate_timed(bundle, symtab, freq, mode, threads).0
-}
-
-/// [`integrate_with_threads`] plus the run's [`PipelineStats`], which
-/// travel beside the trace: they hold clock ticks, so they vary run to
-/// run and must stay out of the result value.
-pub(crate) fn integrate_timed(
-    bundle: &TraceBundle,
-    symtab: &SymbolTable,
-    freq: Freq,
-    mode: MappingMode,
-    threads: usize,
-) -> (IntegratedTrace, PipelineStats) {
-    let threads = threads.max(1);
-    obs::span!("integrate.run", threads);
-
-    // Phase 1 — per-core interval reconstruction. Shards are the
-    // per-core sub-slices of the (core, tsc)-sorted streams.
-    let t0 = obs::now_ticks();
-    let shards = shard_by_core(&bundle.marks, &bundle.samples);
-    let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
-        shards.iter().map(|sh| sh.marks).collect(),
-        threads,
-        |shard_idx, marks| {
-            obs::span!("integrate.shard", shard_idx);
-            build_intervals(marks)
-        },
-    );
-    // Splice in core order: concatenated per-core results are identical
-    // to one sequential walk (build_intervals truncates open intervals
-    // at core boundaries either way).
-    let mut intervals = Vec::with_capacity(built.iter().map(|(ivs, _)| ivs.len()).sum());
-    let mut errors = Vec::new();
-    // (global base, length) of each shard's interval range.
-    let mut shard_bounds: Vec<(usize, usize)> = Vec::with_capacity(built.len());
-    for (ivs, errs) in &built {
-        shard_bounds.push((intervals.len(), ivs.len()));
-        intervals.extend_from_slice(ivs);
-        errors.extend_from_slice(errs);
-    }
-    let interval_build_ns = obs::now_ticks().wrapping_sub(t0);
-
-    // Phase 2 — per-core sample attribution with a merge cursor; local
-    // interval indices are globalized with the shard's base offset.
-    let t1 = obs::now_ticks();
-    let attributed: Vec<Vec<AttributedSample>> = parallel::run_indexed(
-        shards.iter().map(|sh| sh.samples).collect(),
-        threads,
-        |shard_idx, samples| {
-            obs::span!("integrate.attribute", shard_idx);
-            let (base, len) = shard_bounds.get(shard_idx).copied().unwrap_or((0, 0));
-            let shard_intervals = intervals.get(base..base + len).unwrap_or_default();
-            attribute_shard(samples, shard_intervals, base as u32, symtab, mode)
-        },
-    );
-    let mut samples = Vec::with_capacity(bundle.samples.len());
-    for shard_samples in attributed {
-        samples.extend(shard_samples);
-    }
-    let item_index = build_item_index(&samples);
-    let attribution_ns = obs::now_ticks().wrapping_sub(t1);
-
-    // Self-observability: deterministic volumes and sim-cycle
-    // distributions only (never the tick timings above), so obs
-    // snapshots stay byte-identical across runs and thread counts.
-    if obs::recording() {
-        obs::counter!("core.integrate.runs").inc();
-        obs::counter!("core.integrate.samples").add(samples.len() as u64);
-        obs::counter!("core.integrate.intervals").add(intervals.len() as u64);
-        obs::counter!("core.integrate.shards").add(shards.len() as u64);
-        obs::counter!("core.integrate.errors").add(errors.len() as u64);
-        let interval_cycles = obs::histogram!("core.integrate.interval_cycles");
-        for iv in &intervals {
-            interval_cycles.record(iv.cycles());
-        }
-        let shard_samples = obs::histogram!("core.integrate.shard_samples");
-        for sh in &shards {
-            shard_samples.record(sh.samples.len() as u64);
-        }
-    }
-
-    let stats = PipelineStats {
-        interval_build_ns,
-        attribution_ns,
-        estimate_ns: 0,
-        samples: samples.len() as u64,
-        intervals: intervals.len() as u64,
-        threads: threads as u64,
-    };
-    let trace = IntegratedTrace {
-        samples,
-        intervals,
-        errors,
-        freq,
-        mode,
-        item_index,
-    };
-    (trace, stats)
-}
-
-/// One core's sub-slices of the sorted streams. Shared with the
-/// columnar fast path ([`crate::soa`]), which attributes the same
-/// shards into pre-allocated columns.
-pub(crate) struct Shard<'a> {
-    pub(crate) marks: &'a [fluctrace_cpu::MarkRecord],
-    pub(crate) samples: &'a [PebsRecord],
-}
-
-/// Split the `(core, tsc)`-sorted streams into per-core shards covering
-/// the union of cores present in either stream, in ascending core order.
-pub(crate) fn shard_by_core<'a>(
-    marks: &'a [fluctrace_cpu::MarkRecord],
-    samples: &'a [PebsRecord],
-) -> Vec<Shard<'a>> {
-    let mut shards = Vec::new();
-    let (mut mi, mut si) = (0usize, 0usize);
-    while mi < marks.len() || si < samples.len() {
-        let core = match (marks.get(mi), samples.get(si)) {
-            (Some(m), Some(s)) => m.core.min(s.core),
-            (Some(m), None) => m.core,
-            (None, Some(s)) => s.core,
-            (None, None) => break,
-        };
-        let m_end = mi
-            + marks
-                .get(mi..)
-                .unwrap_or_default()
-                .partition_point(|m| m.core <= core);
-        let s_end = si
-            + samples
-                .get(si..)
-                .unwrap_or_default()
-                .partition_point(|s| s.core <= core);
-        shards.push(Shard {
-            marks: marks.get(mi..m_end).unwrap_or_default(),
-            samples: samples.get(si..s_end).unwrap_or_default(),
-        });
-        mi = m_end;
-        si = s_end;
-    }
-    shards
-}
-
-/// Attribute one core's samples against that core's intervals.
-///
-/// Both slices are time-sorted, so instead of a binary search per
-/// sample the cursor tracks "how many intervals start at or before this
-/// timestamp" — exactly the `partition_point` the old path computed,
-/// advanced incrementally. The candidate is the latest-starting
-/// interval, matching [`crate::interval::find_interval_idx`] sample for
-/// sample.
-fn attribute_shard(
-    samples: &[PebsRecord],
-    intervals: &[ItemInterval],
-    base: u32,
-    symtab: &SymbolTable,
-    mode: MappingMode,
-) -> Vec<AttributedSample> {
-    let mut out = Vec::with_capacity(samples.len());
-    let mut started = 0usize; // intervals with start_tsc <= current tsc
-    for s in samples {
-        let (item, interval_idx) = match mode {
-            MappingMode::Intervals => {
-                while intervals
-                    .get(started)
-                    .is_some_and(|iv| iv.start_tsc <= s.tsc)
-                {
-                    started += 1;
-                }
-                let cand = started
-                    .checked_sub(1)
-                    .and_then(|i| intervals.get(i).map(|iv| (i, iv)));
-                match cand {
-                    Some((i, iv)) if iv.contains(s.tsc) => (Some(iv.item), Some(base + i as u32)),
-                    _ => (None, None),
-                }
-            }
-            MappingMode::RegisterTag => (decode_tag(s.r13), None),
-        };
-        out.push(AttributedSample {
-            core: s.core,
-            tsc: s.tsc,
-            item,
-            func: symtab.resolve(s.ip),
-            interval_idx,
-        });
-    }
-    out
-}
-
-/// Collapse attributed samples into `(item, start, end)` runs sorted by
-/// `(item, start)`. Runs are maximal: consecutive samples of the same
-/// item form one range.
-pub(crate) fn build_item_index(samples: &[AttributedSample]) -> Vec<(ItemId, u32, u32)> {
-    let mut runs: Vec<(ItemId, u32, u32)> = Vec::new();
-    for (i, s) in samples.iter().enumerate() {
-        let Some(item) = s.item else { continue };
-        match runs.last_mut() {
-            Some((run_item, _, end)) if *run_item == item && *end == i as u32 => {
-                *end = i as u32 + 1;
-            }
-            _ => runs.push((item, i as u32, i as u32 + 1)),
-        }
-    }
-    runs.sort_unstable_by_key(|&(item, start, _)| (item, start));
-    runs
+    integrate_soa_with_threads(bundle, symtab, freq, mode, threads).to_integrated()
 }
 
 impl IntegratedTrace {
@@ -636,30 +406,5 @@ mod tests {
             assert_eq!(it.errors, reference.errors);
             assert_eq!(it.item_index, reference.item_index);
         }
-    }
-
-    #[test]
-    fn stats_count_samples_and_intervals() {
-        let (symtab, f, _) = setup();
-        let ip = symtab.range(f).start;
-        let mut bundle = TraceBundle::default();
-        bundle.marks = vec![
-            mark(0, 100, 1, MarkKind::Start),
-            mark(0, 200, 1, MarkKind::End),
-        ];
-        bundle.samples = vec![sample(0, 150, ip, NO_TAG)];
-        bundle.sort();
-        let threads = auto_threads(&bundle);
-        let (_, stats) = integrate_timed(
-            &bundle,
-            &symtab,
-            Freq::ghz(3),
-            MappingMode::Intervals,
-            threads,
-        );
-        assert_eq!(stats.samples, 1);
-        assert_eq!(stats.intervals, 1);
-        assert_eq!(stats.threads, 1, "tiny bundles stay sequential");
-        assert_eq!(stats.estimate_ns, 0);
     }
 }

@@ -6,12 +6,17 @@
 //! integrator. It owns the pending-sample buffers, the batch merge, the
 //! `max_pending` eviction bound, the 11-counter [`LossStats`] ledger,
 //! the per-item span fold and the divergence baseline, and hands every
-//! completed item to a caller closure. The drivers keep only what is
+//! completed item to a caller closure. IPs resolve through the batch
+//! kernel's memoized `FuncResolver` and spans fold into the batch
+//! estimator's `SpanFold`, so streaming and batch attribution share
+//! both decisions. The drivers keep only what is
 //! specific to them (channels and raw-sample retention online; windows
 //! and cumulative tables in `window`), so the pairing and loss semantics
 //! cannot drift apart between the two.
 
+use crate::estimate::SpanFold;
 use crate::interval::ItemInterval;
+use crate::soa::FuncResolver;
 use fluctrace_cpu::{
     CoreId, FuncId, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, TraceBundle,
 };
@@ -116,8 +121,10 @@ pub(crate) struct Pairing {
     cores: BTreeMap<CoreId, CoreState>,
     /// Running per-function baselines (count, mean in ps).
     baselines: BTreeMap<FuncId, (u64, f64)>,
+    /// Memoized IP resolution, carried across items.
+    resolver: FuncResolver,
     /// Span-fold scratch, reused across items (sorted by `FuncId`).
-    spans: Vec<(FuncId, u64, u64, u32)>,
+    fold: SpanFold,
     /// The loss ledger (worker side; producer-side shed counters are
     /// folded in by the drivers).
     pub loss: LossStats,
@@ -150,7 +157,8 @@ impl Pairing {
             max_pending: max_pending.max(1),
             cores: BTreeMap::new(),
             baselines: BTreeMap::new(),
-            spans: Vec::new(),
+            resolver: FuncResolver::default(),
+            fold: SpanFold::default(),
             loss: LossStats::default(),
             samples_seen: 0,
             items: 0,
@@ -261,7 +269,7 @@ impl Pairing {
         let samples = state.pending.as_slice();
         self.items += 1;
         self.samples_attributed += samples.len() as u64;
-        self.spans.clear();
+        self.fold.clear();
         let mut unknown = 0u32;
         for s in samples {
             if !interval.contains(s.tsc) {
@@ -270,24 +278,14 @@ impl Pairing {
             if interval.is_boundary(s.tsc) {
                 self.loss.boundary_samples += 1;
             }
-            let Some(func) = self.symtab.resolve(s.ip) else {
-                unknown += 1;
-                continue;
-            };
-            match self.spans.binary_search_by_key(&func, |span| span.0) {
-                Ok(i) => {
-                    if let Some(span) = self.spans.get_mut(i) {
-                        span.1 = span.1.min(s.tsc);
-                        span.2 = span.2.max(s.tsc);
-                        span.3 += 1;
-                    }
-                }
-                Err(i) => self.spans.insert(i, (func, s.tsc, s.tsc, 1)),
+            match self.resolver.resolve(&self.symtab, s.ip) {
+                Some(func) => self.fold.add(func, s.tsc),
+                None => unknown += 1,
             }
         }
 
         let mut worst: Option<(FuncId, SimDuration, SimDuration)> = None;
-        for &(func, first, last, _) in &self.spans {
+        for &(func, first, last, _) in self.fold.spans() {
             let elapsed = self.freq.cycles_to_dur(last.wrapping_sub(first));
             let (count, mean_ps) = self.baselines.entry(func).or_insert((0, 0.0));
             let diverges = *count >= self.warmup
@@ -312,7 +310,7 @@ impl Pairing {
         on_item(CompletedItem {
             interval,
             samples,
-            spans: &self.spans,
+            spans: self.fold.spans(),
             unknown,
             worst,
             loss: &self.loss,

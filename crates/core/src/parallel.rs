@@ -1,6 +1,6 @@
 //! Bounded worker-pool helpers for the parallel analysis pipeline.
 //!
-//! Both the per-core sharded integration ([`crate::integrate`]) and the
+//! Both the per-core sharded integration ([`crate::soa`]) and the
 //! figure sweep runner in `fluctrace-bench` fan independent units of
 //! work over a small pool of scoped threads. The helpers here guarantee
 //! the property everything downstream relies on: **results are
@@ -108,8 +108,7 @@ where
 /// `split_at_mut` chunk of a shared output buffer, so workers write
 /// their final bytes in place and the "merge" is free. Tasks are
 /// claimed from the same atomic cursor as [`run_indexed`] (dynamic load
-/// balancing), and the same obs counters are recorded, so a fast-path
-/// run is observably identical to an AoS run. A panicking task
+/// balancing), and the same obs counters are recorded. A panicking task
 /// propagates out of the scope, as with sequential execution.
 pub fn run_parts<T, F>(parts: Vec<T>, threads: usize, f: F)
 where

@@ -1,51 +1,51 @@
-//! Structure-of-arrays fast path for the integrate→estimate hot
-//! pipeline.
+//! The columnar attribution kernel: the one batch implementation of
+//! §III.D's integration rule.
 //!
-//! The AoS path ([`crate::integrate`]) materializes a 48-byte
-//! [`AttributedSample`] per sample, with three `Option` discriminants
-//! that every downstream loop re-branches on. At the sample rates the
+//! A sample belongs to the item whose same-core mark interval contains
+//! its timestamp (or whose `r13` tag it carries, §V.A), and to the
+//! function whose symbol range contains its IP. At the sample rates the
 //! paper targets (hundreds of thousands of samples per second of traced
-//! execution, §IV.C.3) the analysis pipeline itself becomes the
-//! bottleneck, so this module keeps the *same attribution semantics* in
-//! columnar form:
+//! execution, §IV.C.3) the analysis pipeline itself can become the
+//! bottleneck, so the kernel works in columnar form:
 //!
 //! * one column per field (`core`/`tsc`/`item`/`func`/`span`), with
 //!   sentinel values ([`NO_ITEM`], [`NO_FUNC`], [`NO_SPAN`]) instead of
-//!   `Option` — ~28 bytes per sample, no discriminants, and each kernel
-//!   loop touches only the columns it needs;
-//! * output columns are allocated once and split into per-shard chunks
-//!   ([`crate::parallel::run_parts`]), so the parallel merge writes
-//!   straight into its final location — no per-shard `Vec` + splice;
-//! * symbol resolution memoizes the last hit: consecutive samples
-//!   usually land in the same function, turning the per-sample binary
-//!   search into a single range check.
+//!   `Option` — ~28 bytes per sample, no discriminants, and each loop
+//!   touches only the columns it needs;
+//! * the `(core, tsc)`-sorted streams split into per-core shards, every
+//!   shard runs on the worker pool (`FLUCTRACE_THREADS`, see
+//!   [`crate::parallel`]) and writes straight into its disjoint chunk of
+//!   the pre-allocated output columns — no per-shard `Vec` + splice;
+//!   the result is bit-identical for every thread count;
+//! * samples and intervals are co-walked with a merge cursor, and
+//!   `FuncResolver` memoizes the last symbol hit, so the per-sample
+//!   cost is linear and usually one range check.
 //!
-//! Correctness is anchored three ways: [`SoaTrace::to_integrated`] must
-//! round-trip to the AoS trace bit for bit (unit + conformance tests),
-//! [`crate::EstimateTable::from_soa`] must equal `from_integrated` and
-//! the PR 4 oracle byte for byte (the 240-seed differential sweep), and
-//! the `perf-hunt` bench gates the speedup so the fast path cannot
-//! silently regress.
+//! The row API ([`crate::integrate()`], [`SoaTrace::to_integrated`]) is a
+//! transpose of these columns. Correctness is anchored two ways: the
+//! conformance suite's brute-force oracles (interval and register-tag
+//! mode, 240-seed differential sweep) must match
+//! [`crate::EstimateTable::from_soa`] byte for byte, and the `perf-hunt`
+//! gate bounds the kernel's cost against a plain scan of its input so it
+//! cannot silently regress.
 //!
 //! ## Sentinel safety
 //!
 //! `NO_ITEM` is `u64::MAX`. Register-tag decoding can never produce it
-//! (`decode_tag` yields `r13 − 1` with `r13 ≠ 0`), and interval mode
-//! checks the reconstructed intervals up front: if any interval carries
-//! the reserved id — possible only from a hand-built mark stream — the
-//! builder falls back to the AoS path and converts, trading speed for
-//! unconditional correctness. `NO_FUNC`/`NO_SPAN` are `u32::MAX`; both
-//! would require ~4 billion functions or intervals, a ceiling the AoS
-//! path already shares (`interval_idx` is `u32` there too).
+//! (`decode_tag` yields `r13 − 1` with `r13 ≠ 0`). In interval mode an
+//! attributed sample always carries its interval index in `span`, so a
+//! sample counts as attributed when `item != NO_ITEM || span != NO_SPAN`:
+//! an interval claiming the reserved id (possible only from a
+//! hand-built mark stream) stays attributable. `NO_FUNC`/`NO_SPAN` are
+//! `u32::MAX`; both would require ~4 billion functions or intervals, a
+//! ceiling the row form shares (`interval_idx` is `u32` there too).
 
-use crate::integrate::{
-    auto_threads, build_item_index, integrate_timed, shard_by_core, AttributedSample,
-    IntegratedTrace, MappingMode, PipelineStats,
-};
+use crate::integrate::{AttributedSample, IntegratedTrace, MappingMode, PipelineStats};
 use crate::interval::{build_intervals, IntervalError, ItemInterval};
 use crate::parallel;
 use fluctrace_cpu::{
-    AddrRange, CoreId, FuncId, ItemId, PebsRecord, SymbolTable, TraceBundle, NO_TAG,
+    AddrRange, CoreId, FuncId, ItemId, MarkRecord, PebsRecord, SymbolTable, TraceBundle, VirtAddr,
+    NO_TAG,
 };
 use fluctrace_obs as obs;
 use fluctrace_sim::Freq;
@@ -58,9 +58,32 @@ pub const NO_FUNC: u32 = u32::MAX;
 /// register-tag mode where spans are run ids computed by the estimator).
 pub const NO_SPAN: u32 = u32::MAX;
 
+/// IP → function resolution with a last-hit memo. Consecutive samples
+/// usually land in the same function, so the common case is one range
+/// check instead of the symbol table's binary search; a miss (including
+/// an IP outside every function) leaves the memo as it was. The crate's
+/// one resolver: the batch kernel and the streaming pairing core both
+/// resolve through it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FuncResolver(Option<(FuncId, AddrRange)>);
+
+impl FuncResolver {
+    /// The function whose range contains `ip`, if any.
+    pub(crate) fn resolve(&mut self, symtab: &SymbolTable, ip: VirtAddr) -> Option<FuncId> {
+        match self.0 {
+            Some((func, range)) if range.contains(ip) => Some(func),
+            _ => {
+                let func = symtab.resolve(ip)?;
+                self.0 = Some((func, symtab.range(func)));
+                Some(func)
+            }
+        }
+    }
+}
+
 /// The attributed sample columns. All vectors have equal length; row
 /// `i` of every column describes the same sample, in `(core, tsc)`
-/// order — the same order the AoS path stores.
+/// order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SampleColumns {
     /// Core the sample was taken on.
@@ -96,6 +119,12 @@ impl SampleColumns {
             span: vec![0; n], // lint:allow(hot-path-alloc): one-time transpose-time column allocation, not per sample
         }
     }
+
+    /// True when a row holding `item` and `span` is attributed to an
+    /// item (the module's sentinel rule).
+    fn attributed(item: u64, span: u32) -> bool {
+        item != NO_ITEM || span != NO_SPAN
+    }
 }
 
 /// The columnar integrated trace: what [`IntegratedTrace`] holds, with
@@ -112,18 +141,16 @@ pub struct SoaTrace {
     pub freq: Freq,
     /// The mapping mode used.
     pub mode: MappingMode,
-    /// Per-item `(item, start, end)` sample ranges, as in the AoS trace.
+    /// Per-item `(item, start, end)` half-open sample ranges: maximal
+    /// same-item runs, sorted by `(item, start)`.
     pub(crate) item_index: Vec<(ItemId, u32, u32)>,
-    /// The reserved-id escape hatch: when a trace actually uses item
-    /// `u64::MAX` the columns cannot represent it (it collides with
-    /// [`NO_ITEM`]), so the full AoS trace is kept and the estimator /
-    /// round-trip delegate to it. `None` on every realistic trace.
-    pub(crate) aos_fallback: Option<Box<IntegratedTrace>>,
 }
 
-/// [`crate::integrate`]'s columnar twin: same inputs, same attribution,
-/// columnar output. Pool size from `FLUCTRACE_THREADS`, sequential for
-/// tiny bundles.
+/// Integrate a trace bundle against a symbol table into columns.
+///
+/// `bundle` must be sorted (see [`TraceBundle::sort`]); `freq` is the
+/// TSC frequency of the traced machine. Pool size from
+/// `FLUCTRACE_THREADS`, sequential for tiny bundles.
 pub fn integrate_soa(
     bundle: &TraceBundle,
     symtab: &SymbolTable,
@@ -145,8 +172,9 @@ pub fn integrate_soa_timed(
     soa_timed(bundle, symtab, freq, mode, auto_threads(bundle))
 }
 
-/// [`integrate_soa`] with an explicit worker count (`threads = 1` is the
-/// sequential reference; results are identical for every pool size).
+/// [`integrate_soa`] with an explicit worker count, honoured even for
+/// tiny bundles (`threads = 1` is the sequential reference; results are
+/// identical for every pool size).
 pub fn integrate_soa_with_threads(
     bundle: &TraceBundle,
     symtab: &SymbolTable,
@@ -155,6 +183,59 @@ pub fn integrate_soa_with_threads(
     threads: usize,
 ) -> SoaTrace {
     soa_timed(bundle, symtab, freq, mode, threads).0
+}
+
+/// Below this many samples the shard fan-out is pure overhead; run
+/// sequentially (same results by construction).
+const PARALLEL_MIN_SAMPLES: usize = 4096;
+
+/// Worker count for the auto-sized entry points: sequential below
+/// [`PARALLEL_MIN_SAMPLES`], else the `FLUCTRACE_THREADS` pool size.
+fn auto_threads(bundle: &TraceBundle) -> usize {
+    if bundle.samples.len() < PARALLEL_MIN_SAMPLES {
+        1
+    } else {
+        parallel::configured_threads()
+    }
+}
+
+/// One core's sub-slices of the sorted streams.
+struct Shard<'a> {
+    marks: &'a [MarkRecord],
+    samples: &'a [PebsRecord],
+}
+
+/// Split the `(core, tsc)`-sorted streams into per-core shards covering
+/// the union of cores present in either stream, in ascending core order.
+/// The paper's mapping is strictly per-core, so shards are independent.
+fn shard_by_core<'a>(marks: &'a [MarkRecord], samples: &'a [PebsRecord]) -> Vec<Shard<'a>> {
+    let mut shards = Vec::new();
+    let (mut mi, mut si) = (0usize, 0usize);
+    while mi < marks.len() || si < samples.len() {
+        let core = match (marks.get(mi), samples.get(si)) {
+            (Some(m), Some(s)) => m.core.min(s.core),
+            (Some(m), None) => m.core,
+            (None, Some(s)) => s.core,
+            (None, None) => break,
+        };
+        let m_end = mi
+            + marks
+                .get(mi..)
+                .unwrap_or_default()
+                .partition_point(|m| m.core <= core);
+        let s_end = si
+            + samples
+                .get(si..)
+                .unwrap_or_default()
+                .partition_point(|s| s.core <= core);
+        shards.push(Shard {
+            marks: marks.get(mi..m_end).unwrap_or_default(),
+            samples: samples.get(si..s_end).unwrap_or_default(),
+        });
+        mi = m_end;
+        si = s_end;
+    }
+    shards
 }
 
 fn soa_timed(
@@ -167,8 +248,9 @@ fn soa_timed(
     let threads = threads.max(1);
     obs::span!("soa.integrate.run", threads);
 
-    // Phase 1 — per-core interval reconstruction, identical to the AoS
-    // path (shared sharding + splicing, same obs-visible task counts).
+    // Phase 1 — per-core interval reconstruction, spliced in core order:
+    // concatenated per-core results equal one sequential walk
+    // (build_intervals truncates open intervals at core boundaries).
     let t0 = obs::now_ticks();
     let shards = shard_by_core(&bundle.marks, &bundle.samples);
     let built: Vec<(Vec<ItemInterval>, Vec<IntervalError>)> = parallel::run_indexed(
@@ -181,6 +263,7 @@ fn soa_timed(
     );
     let mut intervals = Vec::with_capacity(built.iter().map(|(ivs, _)| ivs.len()).sum());
     let mut errors = Vec::new();
+    // (global base, length) of each shard's interval range.
     let mut shard_bounds: Vec<(usize, usize)> = Vec::with_capacity(built.len());
     for (ivs, errs) in &built {
         shard_bounds.push((intervals.len(), ivs.len()));
@@ -189,26 +272,14 @@ fn soa_timed(
     }
     let interval_build_ns = obs::now_ticks().wrapping_sub(t0);
 
-    // Interval bound columns for the branch-light sweep, plus the
-    // sentinel-collision check (see module docs).
+    // Interval bound columns for the branch-light sweep.
     let mut iv_start: Vec<u64> = Vec::with_capacity(intervals.len());
     let mut iv_end: Vec<u64> = Vec::with_capacity(intervals.len());
     let mut iv_item: Vec<u64> = Vec::with_capacity(intervals.len());
-    let mut reserved_id = false;
     for iv in &intervals {
         iv_start.push(iv.start_tsc);
         iv_end.push(iv.end_tsc);
         iv_item.push(iv.item.0);
-        reserved_id |= iv.item.0 == NO_ITEM;
-    }
-    if reserved_id && mode == MappingMode::Intervals {
-        // An interval claims the reserved id: encode via the AoS path
-        // instead (correctness over speed; counted for observability).
-        if obs::recording() {
-            obs::counter!("core.soa.fallbacks").inc();
-        }
-        let (it, stats) = integrate_timed(bundle, symtab, freq, mode, threads);
-        return (SoaTrace::from_integrated(&it), stats);
     }
 
     // Phase 2 — attribution straight into pre-allocated columns. Each
@@ -229,12 +300,12 @@ fn soa_timed(
         obs::span!("soa.integrate.attribute", shard_idx);
         attribute_columns(task, symtab, mode);
     });
-    let item_index = build_item_index_cols(&cols.item);
+    let item_index = build_item_index(&cols);
     let attribution_ns = obs::now_ticks().wrapping_sub(t1);
 
-    // Self-observability: the same deterministic volumes the AoS path
-    // records (so a fast-path run is observably identical), plus the
-    // soa-specific counters. Tick timings never enter the registry.
+    // Self-observability: deterministic volumes and sim-cycle
+    // distributions only (never the tick timings above), so obs
+    // snapshots stay byte-identical across runs and thread counts.
     if obs::recording() {
         obs::counter!("core.integrate.runs").inc();
         obs::counter!("core.integrate.samples").add(n as u64);
@@ -268,7 +339,6 @@ fn soa_timed(
         freq,
         mode,
         item_index,
-        aos_fallback: None,
     };
     (trace, stats)
 }
@@ -289,10 +359,10 @@ struct AttrTask<'a> {
 
 /// Split the output columns into per-shard chunks. The shards partition
 /// the sample array in order, so `split_at_mut` walks cleanly through
-/// each column; the per-shard interval sub-slices come from the same
-/// `shard_bounds` the AoS path uses.
+/// each column; the per-shard interval sub-slices come from
+/// `shard_bounds`.
 fn chunk_tasks<'a>(
-    shards: &[crate::integrate::Shard<'a>],
+    shards: &[Shard<'a>],
     shard_bounds: &[(usize, usize)],
     iv_start: &'a [u64],
     iv_end: &'a [u64],
@@ -336,12 +406,11 @@ fn chunk_tasks<'a>(
 
 /// Attribute one shard's samples into its output chunk.
 ///
-/// The interval cursor is the same incremental `partition_point` the
-/// AoS path advances ("how many intervals start at or before this
-/// timestamp"); function resolution checks the previously-hit range
-/// before falling back to the symbol-table binary search — consecutive
-/// samples overwhelmingly share a function, so the common case is one
-/// compare instead of `O(log f)`.
+/// Both streams are time-sorted, so instead of a binary search per
+/// sample the cursor tracks "how many intervals start at or before this
+/// timestamp", advanced incrementally; the candidate is the
+/// latest-starting interval, matching
+/// [`crate::interval::find_interval_idx`] sample for sample.
 fn attribute_columns(task: AttrTask<'_>, symtab: &SymbolTable, mode: MappingMode) {
     let AttrTask {
         samples,
@@ -356,7 +425,7 @@ fn attribute_columns(task: AttrTask<'_>, symtab: &SymbolTable, mode: MappingMode
         out_span,
     } = task;
     let mut started = 0usize; // intervals with start_tsc <= current tsc
-    let mut memo: Option<(u32, AddrRange)> = None;
+    let mut resolver = FuncResolver::default();
     let rows = samples
         .iter()
         .zip(out_core.iter_mut())
@@ -394,25 +463,16 @@ fn attribute_columns(task: AttrTask<'_>, symtab: &SymbolTable, mode: MappingMode
         };
         *item = it;
         *span = sp;
-        *func = match memo {
-            Some((f, range)) if range.contains(s.ip) => f,
-            _ => match symtab.resolve(s.ip) {
-                Some(f) => {
-                    memo = Some((f.0, symtab.range(f)));
-                    f.0
-                }
-                None => NO_FUNC,
-            },
-        };
+        *func = resolver.resolve(symtab, s.ip).map_or(NO_FUNC, |f| f.0);
     }
 }
 
-/// Columnar twin of [`crate::integrate::build_item_index`]: maximal
-/// same-item runs over the `item` column, sorted by `(item, start)`.
-fn build_item_index_cols(items: &[u64]) -> Vec<(ItemId, u32, u32)> {
+/// Maximal same-item runs over the attributed rows, sorted by
+/// `(item, start)`.
+fn build_item_index(cols: &SampleColumns) -> Vec<(ItemId, u32, u32)> {
     let mut runs: Vec<(ItemId, u32, u32)> = Vec::new();
-    for (i, &raw) in items.iter().enumerate() {
-        if raw == NO_ITEM {
+    for (i, (&raw, &span)) in cols.item.iter().zip(&cols.span).enumerate() {
+        if !SampleColumns::attributed(raw, span) {
             continue;
         }
         let item = ItemId(raw);
@@ -452,13 +512,9 @@ impl SoaTrace {
         attributed as f64 / self.cols.len() as f64
     }
 
-    /// Transpose back into the AoS [`IntegratedTrace`]. Bit-identical to
-    /// running [`crate::integrate`] on the same bundle — the round-trip
-    /// is one of the fast path's correctness anchors.
+    /// Transpose into the row form [`IntegratedTrace`] (what
+    /// [`crate::integrate()`] returns).
     pub fn to_integrated(&self) -> IntegratedTrace {
-        if let Some(aos) = &self.aos_fallback {
-            return (**aos).clone();
-        }
         let rows = self
             .cols
             .core
@@ -472,7 +528,7 @@ impl SoaTrace {
                 |((((&core, &tsc), &item), &func), &span)| AttributedSample {
                     core: CoreId(core),
                     tsc,
-                    item: (item != NO_ITEM).then_some(ItemId(item)),
+                    item: SampleColumns::attributed(item, span).then_some(ItemId(item)),
                     func: (func != NO_FUNC).then_some(FuncId(func)),
                     interval_idx: (span != NO_SPAN).then_some(span),
                 },
@@ -488,8 +544,9 @@ impl SoaTrace {
         }
     }
 
-    /// Transpose an AoS trace into columns (sentinel encoding). Used by
-    /// the reserved-id fallback and the old-vs-new benchmarks.
+    /// Transpose a row trace into columns (sentinel encoding), rebuilding
+    /// the item index from the rows. Lets row-built traces reach the
+    /// columnar estimator ([`crate::EstimateTable::from_integrated`]).
     pub fn from_integrated(it: &IntegratedTrace) -> SoaTrace {
         let n = it.samples.len();
         let mut cols = SampleColumns {
@@ -499,24 +556,21 @@ impl SoaTrace {
             func: Vec::with_capacity(n),
             span: Vec::with_capacity(n),
         };
-        let mut reserved_id = false;
         for s in &it.samples {
             cols.core.push(s.core.0);
             cols.tsc.push(s.tsc);
             cols.item.push(s.item.map_or(NO_ITEM, |i| i.0));
             cols.func.push(s.func.map_or(NO_FUNC, |f| f.0));
             cols.span.push(s.interval_idx.unwrap_or(NO_SPAN));
-            reserved_id |= s.item == Some(ItemId(NO_ITEM));
         }
+        let item_index = build_item_index(&cols);
         SoaTrace {
             cols,
             intervals: it.intervals.clone(),
             errors: it.errors.clone(),
             freq: it.freq,
             mode: it.mode,
-            item_index: build_item_index(&it.samples),
-            // lint:allow(hot-path-alloc): rare-path fallback built once per transpose when a reserved id is present, not per sample
-            aos_fallback: reserved_id.then(|| Box::new(it.clone())),
+            item_index,
         }
     }
 }
@@ -581,18 +635,15 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_matches_aos_both_modes() {
+    fn row_transpose_roundtrips_both_modes() {
         let (symtab, f, g) = setup();
         let bundle = messy_bundle(&symtab, f, g);
         for mode in [MappingMode::Intervals, MappingMode::RegisterTag] {
-            let aos = integrate(&bundle, &symtab, Freq::ghz(3), mode);
             let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), mode);
-            let round = soa.to_integrated();
-            assert_eq!(round.samples, aos.samples, "mode {mode:?}");
-            assert_eq!(round.intervals, aos.intervals);
-            assert_eq!(round.errors, aos.errors);
-            assert_eq!(round.item_index, aos.item_index);
-            assert_eq!(soa.attribution_ratio(), aos.attribution_ratio());
+            let rows = soa.to_integrated();
+            assert_eq!(rows, integrate(&bundle, &symtab, Freq::ghz(3), mode));
+            assert_eq!(rows.attribution_ratio(), soa.attribution_ratio());
+            assert_eq!(SoaTrace::from_integrated(&rows), soa, "mode {mode:?}");
         }
     }
 
@@ -615,17 +666,6 @@ mod tests {
             assert_eq!(soa.errors, reference.errors);
             assert_eq!(soa.item_index, reference.item_index);
         }
-    }
-
-    #[test]
-    fn from_integrated_equals_direct_build() {
-        let (symtab, f, g) = setup();
-        let bundle = messy_bundle(&symtab, f, g);
-        let aos = integrate(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        let direct = integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
-        let converted = SoaTrace::from_integrated(&aos);
-        assert_eq!(direct.cols, converted.cols);
-        assert_eq!(direct.item_index, converted.item_index);
     }
 
     #[test]
@@ -654,10 +694,10 @@ mod tests {
     }
 
     #[test]
-    fn reserved_item_id_falls_back_to_aos_path() {
+    fn reserved_item_id_stays_attributable() {
         // A hand-built mark stream can claim item u64::MAX, which
-        // collides with the NO_ITEM sentinel; the builder must detect it
-        // and still produce correct attribution via the fallback.
+        // collides with the NO_ITEM sentinel; the span column still
+        // marks the sample as attributed, so nothing is lost.
         let (symtab, f, _) = setup();
         let ip = symtab.range(f).start;
         let mut bundle = TraceBundle {
@@ -674,12 +714,14 @@ mod tests {
         assert_eq!(
             aos.samples[0].item,
             Some(ItemId(u64::MAX)),
-            "fallback keeps the reserved id attributable"
+            "the reserved id stays attributable"
         );
+        let table = crate::EstimateTable::from_soa(&soa);
+        assert_eq!(table.get(ItemId(u64::MAX), f).map(|fe| fe.samples), Some(1));
     }
 
     #[test]
-    fn memoized_resolve_matches_binary_search() {
+    fn memoized_resolve_matches_a_linear_scan() {
         // Long same-function runs (memo hits) mixed with padding-gap IPs
         // (memo misses that must not poison later hits).
         let mut b = SymbolTableBuilder::new();
@@ -705,9 +747,32 @@ mod tests {
         bundle.sort();
         let soa = integrate_soa(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
         for (i, (&func, s)) in soa.cols.func.iter().zip(&bundle.samples).enumerate() {
-            let want = symtab.resolve(s.ip).map_or(NO_FUNC, |f| f.0);
+            let want = symtab
+                .iter()
+                .find(|(_, sym)| sym.range.contains(s.ip))
+                .map_or(NO_FUNC, |(id, _)| id.0);
             assert_eq!(func, want, "row {i}");
         }
+    }
+
+    #[test]
+    fn stats_count_samples_and_intervals() {
+        let (symtab, f, _) = setup();
+        let ip = symtab.range(f).start;
+        let mut bundle = TraceBundle {
+            marks: vec![
+                mark(0, 100, 1, MarkKind::Start),
+                mark(0, 200, 1, MarkKind::End),
+            ],
+            samples: vec![sample(0, 150, ip, NO_TAG)],
+        };
+        bundle.sort();
+        let (_, stats) =
+            integrate_soa_timed(&bundle, &symtab, Freq::ghz(3), MappingMode::Intervals);
+        assert_eq!(stats.samples, 1);
+        assert_eq!(stats.intervals, 1);
+        assert_eq!(stats.threads, 1, "tiny bundles stay sequential");
+        assert_eq!(stats.estimate_ns, 0);
     }
 
     #[test]

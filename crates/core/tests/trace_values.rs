@@ -1,9 +1,9 @@
-//! Integrated traces are pure result values: the AoS and the columnar
-//! paths must produce `==` traces for the same bundle no matter how many
+//! Integrated traces are pure result values: the attribution kernel
+//! must produce `==` traces for the same bundle no matter how many
 //! pipelines run at once or what the shared obs clock reads meanwhile.
 //! (Per-run tick counts travel beside the trace, never inside it.)
 
-use fluctrace_core::{integrate_soa_with_threads, integrate_with_threads, MappingMode};
+use fluctrace_core::{integrate_soa_with_threads, MappingMode};
 use fluctrace_cpu::{
     CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, SymbolTable, SymbolTableBuilder,
     TraceBundle, VirtAddr, NO_TAG,
@@ -70,15 +70,8 @@ fn concurrent_integrations_compare_equal_while_the_clock_ticks() {
             .map(|t| {
                 let (bundle, symtab) = (&bundle, &symtab);
                 s.spawn(move || {
-                    (0..6)
-                        .map(|_| {
-                            let threads = 1 + t % 2;
-                            let aos = integrate_with_threads(bundle, symtab, freq, mode, threads);
-                            let soa =
-                                integrate_soa_with_threads(bundle, symtab, freq, mode, threads)
-                                    .to_integrated();
-                            (aos, soa)
-                        })
+                    (0..12)
+                        .map(|_| integrate_soa_with_threads(bundle, symtab, freq, mode, 1 + t % 2))
                         .collect::<Vec<_>>()
                 })
             })
@@ -91,10 +84,9 @@ fn concurrent_integrations_compare_equal_while_the_clock_ticks() {
         ticker.join().expect("clock ticker");
         results
     });
-    let reference = integrate_with_threads(&bundle, &symtab, freq, mode, 1);
-    assert!(!reference.samples.is_empty() && !reference.intervals.is_empty());
-    for (i, (aos, soa)) in results.iter().enumerate() {
-        assert!(aos == &reference, "AoS run {i} differs from the reference");
-        assert!(soa == &reference, "SoA run {i} differs from the reference");
+    let reference = integrate_soa_with_threads(&bundle, &symtab, freq, mode, 1);
+    assert!(!reference.is_empty() && !reference.intervals.is_empty());
+    for (i, trace) in results.iter().enumerate() {
+        assert!(trace == &reference, "run {i} differs from the reference");
     }
 }

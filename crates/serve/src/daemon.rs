@@ -26,7 +26,7 @@ use fluctrace_obs as obs;
 use fluctrace_rt::WaitLog;
 use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -174,15 +174,48 @@ impl Daemon {
     }
 }
 
+/// Longest request line read, newline included, in bytes: far above
+/// any valid request (the longest is an HTTP request line), so a client
+/// cannot grow daemon memory with an endless line.
+const MAX_REQUEST_LINE: u64 = 64 * 1024;
+
+/// Bytes of an oversized request discarded (never buffered) after the
+/// error answer, so closing does not reset the connection before the
+/// client has read that answer.
+const MAX_DRAIN: u64 = 4 * 1024 * 1024;
+
 /// Handle one connection; `false` stops the accept loop (quiesce).
 fn handle_connection(stream: TcpStream, state: &DaemonState) -> bool {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let mut raw = Vec::new();
+    if (&mut reader)
+        .take(MAX_REQUEST_LINE + 1)
+        .read_until(b'\n', &mut raw)
+        .is_err()
+    {
         return true;
     }
+    let oversized = raw.len() as u64 > MAX_REQUEST_LINE;
+    let line = if oversized {
+        Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"))
+    } else {
+        String::from_utf8(raw).map_err(|_| "request line is not UTF-8".to_string())
+    };
+    let line = match line {
+        Ok(line) => line,
+        Err(detail) => {
+            let mut stream = reader.get_ref();
+            let _ = stream.write_all(proto::error_doc(&detail).as_bytes());
+            let _ = stream.write_all(b"\n");
+            if oversized {
+                let _ = stream.shutdown(Shutdown::Write);
+                let _ = std::io::copy(&mut reader.take(MAX_DRAIN), &mut std::io::sink());
+            }
+            return true;
+        }
+    };
     let mut stream = reader.into_inner();
     if let Some(path) = http_request_path(&line) {
         let response = http_response(&path);

@@ -152,6 +152,39 @@ fn malformed_requests_get_error_documents() {
     daemon.join();
 }
 
+/// Send raw bytes as one request and read the whole answer.
+fn raw_request(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(bytes).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn oversized_request_line_gets_an_error_and_the_daemon_keeps_serving() {
+    let cfg = lossless(6);
+    let daemon = Daemon::start(cfg, "127.0.0.1:0").unwrap();
+    let addr = daemon.addr().to_string();
+    daemon.wait_drained();
+
+    // 1 MiB with no newline: the daemon stops reading at its bound and
+    // answers instead of buffering until the read timeout.
+    let response = raw_request(daemon.addr(), &vec![b'x'; 1 << 20]);
+    assert!(response.contains("\"error\""), "{response}");
+    assert!(response.contains("longer than"), "{response}");
+    // Invalid UTF-8 is an error document too, not silence.
+    let response = raw_request(daemon.addr(), b"snap\xffshot\n");
+    assert!(response.contains("not UTF-8"), "{response}");
+
+    let snapshot = query(&addr, "snapshot").unwrap();
+    assert!(snapshot.contains("serve.total.items"), "{snapshot}");
+
+    daemon.quiesce();
+    daemon.join();
+}
+
 #[test]
 fn quiesce_drains_an_unbounded_run_and_answers_with_final_state() {
     let mut cfg = lossless(31);
