@@ -104,14 +104,22 @@ impl Machine {
 
     /// Finish every core, collect and sort the merged trace bundle, and
     /// gather per-core reports. The machine keeps the cores afterwards.
+    /// The merged bundle is allocated once, at its final size.
     pub fn collect(&mut self) -> (TraceBundle, Vec<CoreReport>) {
-        let mut bundle = TraceBundle::default();
+        let mut parts = Vec::with_capacity(self.cores.len());
         let mut reports = Vec::with_capacity(self.cores.len());
         for slot in &mut self.cores {
             let core = slot.as_mut().expect("collect with a core still taken");
             core.finish();
-            bundle.merge(core.take_bundle());
+            parts.push(core.take_bundle());
             reports.push(core.report());
+        }
+        let mut bundle = TraceBundle {
+            samples: Vec::with_capacity(parts.iter().map(|b| b.samples.len()).sum()),
+            marks: Vec::with_capacity(parts.iter().map(|b| b.marks.len()).sum()),
+        };
+        for part in parts {
+            bundle.merge(part);
         }
         bundle.sort();
         (bundle, reports)
@@ -176,6 +184,7 @@ mod tests {
         let (bundle, reports) = m.collect();
         assert_eq!(bundle.marks.len(), 4);
         assert_eq!(bundle.samples.len(), 20);
+        assert_eq!(bundle.samples.capacity(), 20, "merged in one allocation");
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].marks, 2);
         // Bundle is sorted per (core, tsc).

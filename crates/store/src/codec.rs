@@ -2,12 +2,13 @@
 //! self-delimiting column encodings (raw, delta, dictionary, RLE).
 //!
 //! Every encoding starts with a varint row count and is decodable
-//! without knowing its byte length; [`encode_column`] tries all four
-//! and keeps the smallest (ties broken by a fixed candidate order, so
-//! the chosen bytes depend only on the column's contents). Decoders
-//! take the row count the footer promised and fail with a
-//! [`StoreError`] on any disagreement — a corrupt count can never
-//! cause a silent short read or an unbounded allocation.
+//! without knowing its byte length. [`encode_column`] computes the
+//! exact byte length of each of the four encodings without encoding
+//! any of them, then encodes only the smallest (ties broken by a fixed
+//! candidate order, so the chosen bytes depend only on the column's
+//! contents). Decoders take the row count the footer promised and fail
+//! with a [`StoreError`] on any disagreement — a corrupt count can
+//! never cause a silent short read or an unbounded allocation.
 
 use crate::error::StoreError;
 
@@ -31,6 +32,12 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Byte length of `v` as an LEB128 varint: 7 payload bits per byte,
+/// and 0 still takes one byte.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Read an LEB128 varint at `*pos`, advancing it.
@@ -80,11 +87,15 @@ fn capacity_hint(buf: &[u8], pos: usize, expect: usize) -> usize {
 /// Encode as plain varints, one per value.
 pub fn encode_raw(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    for &v in values {
-        write_varint(&mut out, v);
-    }
+    put_raw(&mut out, values);
     out
+}
+
+fn put_raw(out: &mut Vec<u8>, values: &[u64]) {
+    write_varint(out, values.len() as u64);
+    for &v in values {
+        write_varint(out, v);
+    }
 }
 
 /// Decode a [`TAG_RAW`] payload of exactly `expect` rows.
@@ -102,17 +113,21 @@ pub fn decode_raw(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>
 /// and round-trips exactly.
 pub fn encode_delta(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    let mut prev: u64 = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, v);
-        } else {
-            write_varint(&mut out, zigzag(v.wrapping_sub(prev) as i64));
-        }
+    put_delta(&mut out, values);
+    out
+}
+
+fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
+    write_varint(out, values.len() as u64);
+    let Some((&first, rest)) = values.split_first() else {
+        return;
+    };
+    write_varint(out, first);
+    let mut prev = first;
+    for &v in rest {
+        write_varint(out, zigzag(v.wrapping_sub(prev) as i64));
         prev = v;
     }
-    out
 }
 
 /// Decode a [`TAG_DELTA`] payload of exactly `expect` rows.
@@ -137,32 +152,49 @@ pub fn decode_delta(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u6
 /// columns with values too far apart for delta coding (instruction
 /// pointers hopping between a few functions).
 pub fn encode_dict(values: &[u64]) -> Vec<u8> {
-    let mut distinct: Vec<u64> = values.to_vec();
+    let mut distinct = values.to_vec();
     distinct.sort_unstable();
     distinct.dedup();
-    let index: std::collections::BTreeMap<u64, u64> = distinct
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| (d, i as u64))
-        .collect();
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    write_varint(&mut out, distinct.len() as u64);
+    put_dict(&mut out, values, &distinct);
+    out
+}
+
+/// Write the dictionary encoding of `values`, given their sorted
+/// distinct values.
+fn put_dict(out: &mut Vec<u8>, values: &[u64], distinct: &[u64]) {
+    write_varint(out, values.len() as u64);
+    write_varint(out, distinct.len() as u64);
+    // The first entry is written as is (its difference from 0); the
+    // rest are strictly ascending, so the plain difference is exact.
     let mut prev: u64 = 0;
-    for (i, &d) in distinct.iter().enumerate() {
-        if i == 0 {
-            write_varint(&mut out, d);
-        } else {
-            // Strictly ascending, so the plain difference is exact.
-            write_varint(&mut out, d.wrapping_sub(prev));
-        }
+    for &d in distinct {
+        write_varint(out, d.wrapping_sub(prev));
         prev = d;
     }
     for v in values {
-        // Present by construction; 0 is unreachable dead fallback.
-        write_varint(&mut out, index.get(v).copied().unwrap_or(0));
+        // Present by construction, so the search always hits.
+        let index = distinct.binary_search(v).unwrap_or_else(|i| i);
+        write_varint(out, index as u64);
     }
-    out
+}
+
+/// Exact byte length of the dictionary encoding of `values`. Leaves a
+/// sorted copy of `values`, duplicates kept, in `sorted`.
+fn dict_len(values: &[u64], sorted: &mut Vec<u64>) -> usize {
+    sorted.clear();
+    sorted.extend_from_slice(values);
+    sorted.sort_unstable();
+    let mut len = varint_len(values.len() as u64);
+    let mut index: u64 = 0;
+    let mut prev: u64 = 0;
+    for run in sorted.chunk_by(|a, b| a == b) {
+        let Some(&d) = run.first() else { continue };
+        len += varint_len(d.wrapping_sub(prev)) + run.len() * varint_len(index);
+        prev = d;
+        index += 1;
+    }
+    len + varint_len(index)
 }
 
 /// Decode a [`TAG_DICT`] payload of exactly `expect` rows.
@@ -212,25 +244,17 @@ pub fn decode_dict(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64
 /// near-constant columns (core ids, event kinds, mark kinds).
 pub fn encode_rle(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::new();
-    write_varint(&mut out, values.len() as u64);
-    let mut iter = values.iter().copied();
-    let Some(mut run_value) = iter.next() else {
-        return out;
-    };
-    let mut run_len: u64 = 1;
-    for v in iter {
-        if v == run_value {
-            run_len += 1;
-        } else {
-            write_varint(&mut out, run_value);
-            write_varint(&mut out, run_len);
-            run_value = v;
-            run_len = 1;
-        }
-    }
-    write_varint(&mut out, run_value);
-    write_varint(&mut out, run_len);
+    put_rle(&mut out, values);
     out
+}
+
+fn put_rle(out: &mut Vec<u8>, values: &[u64]) {
+    write_varint(out, values.len() as u64);
+    for run in values.chunk_by(|a, b| a == b) {
+        let Some(&value) = run.first() else { continue };
+        write_varint(out, value);
+        write_varint(out, run.len() as u64);
+    }
 }
 
 /// Decode a [`TAG_RLE`] payload of exactly `expect` rows. Runs are read
@@ -257,24 +281,68 @@ pub fn decode_rle(buf: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u64>
 }
 
 /// Encode a column under the smallest of the four codecs, prefixed by
-/// its tag byte. Candidates are tried in a fixed order and ties keep
-/// the earliest, so the output is a pure function of `values`.
+/// its tag byte. See [`encode_column_into`].
 pub fn encode_column(values: &[u64]) -> Vec<u8> {
-    let candidates = [
-        (TAG_DELTA, encode_delta(values)),
-        (TAG_DICT, encode_dict(values)),
-        (TAG_RLE, encode_rle(values)),
-        (TAG_RAW, encode_raw(values)),
-    ];
-    let (tag, payload) = candidates
-        .into_iter()
-        .min_by_key(|(_, p)| p.len())
-        // Unreachable: the candidate array is non-empty.
-        .unwrap_or_else(|| (TAG_RAW, encode_raw(values)));
-    let mut out = Vec::with_capacity(payload.len() + 1);
-    out.push(tag);
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_column_into(values, &mut Vec::new(), &mut out);
     out
+}
+
+/// Append `values` to `out` under the smallest of the four codecs,
+/// prefixed by its tag byte.
+///
+/// One pass over the column computes the exact byte length of the
+/// delta, RLE and raw encodings; the dictionary's length needs a sorted
+/// copy (kept in the caller's `sorted` scratch) and is computed only
+/// when its floor — the head, one byte of dictionary length and one
+/// byte per index — could still win. Only the winner is encoded.
+/// Candidates rank in the fixed order delta, dict, rle, raw and ties
+/// keep the earliest, so the output is a pure function of `values`.
+pub fn encode_column_into(values: &[u64], sorted: &mut Vec<u64>, out: &mut Vec<u8>) {
+    let head = varint_len(values.len() as u64);
+    let (mut delta, mut rle, mut raw) = (head, head, head);
+    if let Some((&first, rest)) = values.split_first() {
+        delta += varint_len(first);
+        raw += varint_len(first);
+        let (mut prev, mut run) = (first, 1u64);
+        for &v in rest {
+            raw += varint_len(v);
+            delta += varint_len(zigzag(v.wrapping_sub(prev) as i64));
+            if v == prev {
+                run += 1;
+            } else {
+                rle += varint_len(prev) + varint_len(run);
+                run = 1;
+            }
+            prev = v;
+        }
+        rle += varint_len(prev) + varint_len(run);
+    }
+    let mut best = (TAG_DELTA, delta);
+    let dict_floor = head + 1 + values.len();
+    if dict_floor < delta && dict_floor <= rle.min(raw) {
+        let dict = dict_len(values, sorted);
+        if dict < delta {
+            best = (TAG_DICT, dict);
+        }
+    }
+    for (tag, len) in [(TAG_RLE, rle), (TAG_RAW, raw)] {
+        if len < best.1 {
+            best = (tag, len);
+        }
+    }
+    let (tag, len) = best;
+    out.reserve(1 + len);
+    out.push(tag);
+    match tag {
+        TAG_DELTA => put_delta(out, values),
+        TAG_DICT => {
+            sorted.dedup();
+            put_dict(out, values, sorted);
+        }
+        TAG_RLE => put_rle(out, values),
+        _ => put_raw(out, values),
+    }
 }
 
 /// Decode one tagged column of exactly `expect` rows at `*pos`.

@@ -5,11 +5,12 @@
 //! first-class axis: [`TraceWriter`] streams [`fluctrace_cpu::TraceBundle`]
 //! rows into per-column chunks (TSC / instruction pointer / core /
 //! item-register / event for samples; TSC / core / item / kind for
-//! marks), each column under the smallest of four integer codecs
-//! (raw varint, wrapping delta, sorted dictionary, run-length — see
-//! [`codec`]), with a back-parseable footer carrying chunk offsets, row
-//! counts, and TSC min/max so [`TraceReader`] opens and prunes without
-//! deserializing chunk data (see [`format`]).
+//! marks), each column under whichever of four integer codecs (raw
+//! varint, wrapping delta, sorted dictionary, run-length) is shortest
+//! by exact size, with only that one encoded (see [`codec`]), and a
+//! back-parseable footer carrying chunk offsets, row counts, and TSC
+//! min/max so [`TraceReader`] opens and prunes without deserializing
+//! chunk data (see [`format`]).
 //!
 //! Redundancy suppression (à la Arafa et al., "Redundancy Suppression
 //! In Time-Aware Dynamic Binary Instrumentation") optionally elides a

@@ -40,6 +40,10 @@ pub struct ElisionReport {
 pub struct TraceReader<R: Read + Seek> {
     src: R,
     segments: Vec<SegmentMeta>,
+    /// Byte length of the whole store.
+    len: u64,
+    /// The chunk being decoded, kept across chunks.
+    chunk: Vec<u8>,
 }
 
 impl<R: Read + Seek> TraceReader<R> {
@@ -83,7 +87,12 @@ impl<R: Read + Seek> TraceReader<R> {
             end = start;
         }
         segments.reverse();
-        Ok(TraceReader { src, segments })
+        Ok(TraceReader {
+            src,
+            segments,
+            len,
+            chunk: Vec::new(),
+        })
     }
 
     /// Number of segments in the store.
@@ -126,12 +135,13 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Read every segment and replay ledgers: the returned bundle is
-    /// bit-exact equal to what was appended, elided rows included.
+    /// bit-exact equal to what was appended, elided rows included. The
+    /// bundle is allocated once, from the footers' row counts.
     pub fn read_bundle(&mut self) -> Result<TraceBundle, StoreError> {
-        let mut out = TraceBundle::default();
+        let (samples, marks) = self.logical_rows();
+        let mut out = reserved_bundle(samples, marks, self.len);
         for i in 0..self.segments.len() {
-            let seg = self.read_segment(i)?;
-            out.merge(seg);
+            self.read_segment_into(i, &mut out)?;
         }
         self.record_read(&out);
         Ok(out)
@@ -139,21 +149,33 @@ impl<R: Read + Seek> TraceReader<R> {
 
     /// Read one segment (ledger replayed), by index in file order.
     pub fn read_segment(&mut self, index: usize) -> Result<TraceBundle, StoreError> {
+        let (samples, marks) = self
+            .segments
+            .get(index)
+            .ok_or(StoreError::Corrupt("segment index out of range"))?
+            .footer
+            .logical_rows();
+        let mut out = reserved_bundle(samples, marks, self.len);
+        self.read_segment_into(index, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append one segment's logical rows to `out`.
+    fn read_segment_into(&mut self, index: usize, out: &mut TraceBundle) -> Result<(), StoreError> {
         let meta = self
             .segments
             .get(index)
             .cloned()
             .ok_or(StoreError::Corrupt("segment index out of range"))?;
-        let mut out = TraceBundle::default();
         for c in &meta.footer.chunks {
             if c.stream == STREAM_SAMPLES {
-                let (retained, ledger) = self.read_sample_chunk(meta.start, c)?;
-                out.samples.extend(replay_ledger(&retained, &ledger, c)?);
+                self.read_sample_chunk(meta.start, c)?
+                    .push_rows(c, true, &mut out.samples)?;
             } else {
-                out.marks.extend(self.read_mark_chunk(meta.start, c)?);
+                self.read_mark_chunk(meta.start, c, &mut out.marks)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Read every segment but keep only the physically retained rows,
@@ -170,17 +192,17 @@ impl<R: Read + Seek> TraceReader<R> {
             let mut seg_retained_base = 0u64;
             for c in &meta.footer.chunks {
                 if c.stream == STREAM_SAMPLES {
-                    let (retained, ledger) = self.read_sample_chunk(meta.start, c)?;
-                    for g in &ledger {
+                    let chunk = self.read_sample_chunk(meta.start, c)?;
+                    chunk.push_rows(c, false, &mut out.samples)?;
+                    for g in chunk.ledger {
                         report.elided += g.deltas.len() as u64;
                         report
                             .sites
-                            .push((i, seg_retained_base + g.index, g.deltas.clone()));
+                            .push((i, seg_retained_base + g.index, g.deltas));
                     }
-                    seg_retained_base += retained.len() as u64;
-                    out.samples.extend(retained);
+                    seg_retained_base += c.retained;
                 } else {
-                    out.marks.extend(self.read_mark_chunk(meta.start, c)?);
+                    self.read_mark_chunk(meta.start, c, &mut out.marks)?;
                 }
             }
         }
@@ -209,11 +231,11 @@ impl<R: Read + Seek> TraceReader<R> {
                 if c.tsc_max < lo || c.tsc_min > hi {
                     continue;
                 }
-                let (retained, ledger) = self.read_sample_chunk(meta.start, c)?;
-                let rows = replay_ledger(&retained, &ledger, c)?;
-                out.extend(rows.into_iter().filter(|r| r.tsc >= lo && r.tsc <= hi));
+                self.read_sample_chunk(meta.start, c)?
+                    .push_rows(c, true, &mut out)?;
             }
         }
+        out.retain(|r| r.tsc >= lo && r.tsc <= hi);
         Ok(out)
     }
 
@@ -225,103 +247,166 @@ impl<R: Read + Seek> TraceReader<R> {
         }
     }
 
+    /// Read chunk `c`'s bytes into the reusable chunk buffer.
+    fn load_chunk(&mut self, seg_start: u64, c: &ChunkDesc) -> Result<(), StoreError> {
+        let offset = seg_start
+            .checked_add(c.offset)
+            .ok_or(StoreError::Corrupt("chunk offset overflows"))?;
+        read_at_into(&mut self.src, offset, c.byte_len as usize, &mut self.chunk)?;
+        if obs::recording() {
+            obs::counter!("store.reader.bytes").add(self.chunk.len() as u64);
+        }
+        Ok(())
+    }
+
     fn read_sample_chunk(
         &mut self,
         seg_start: u64,
         c: &ChunkDesc,
-    ) -> Result<(Vec<PebsRecord>, Vec<LedgerGroup>), StoreError> {
-        let buf = read_at(
-            &mut self.src,
-            seg_start
-                .checked_add(c.offset)
-                .ok_or(StoreError::Corrupt("chunk offset overflows"))?,
-            c.byte_len as usize,
-        )?;
-        if obs::recording() {
-            obs::counter!("store.reader.bytes").add(buf.len() as u64);
-        }
+    ) -> Result<SampleChunk, StoreError> {
+        self.load_chunk(seg_start, c)?;
+        let buf = self.chunk.as_slice();
         let retained = c.retained as usize;
         let mut pos = 0usize;
-        let tsc = decode_column(&buf, &mut pos, retained)?;
-        let ip = decode_column(&buf, &mut pos, retained)?;
-        let core = decode_column(&buf, &mut pos, retained)?;
-        let r13 = decode_column(&buf, &mut pos, retained)?;
-        let event = decode_column(&buf, &mut pos, retained)?;
-        let mut rows = Vec::with_capacity(retained);
-        for i in 0..retained {
-            rows.push(PebsRecord {
-                core: decode_core(core.get(i))?,
-                tsc: copied(tsc.get(i))?,
-                ip: VirtAddr(copied(ip.get(i))?),
-                r13: copied(r13.get(i))?,
-                event: decode_event(event.get(i))?,
-            });
-        }
-        let ledger = decode_ledger(&buf, &mut pos, c)?;
+        let chunk = SampleChunk {
+            tsc: decode_column(buf, &mut pos, retained)?,
+            ip: decode_column(buf, &mut pos, retained)?,
+            core: decode_column(buf, &mut pos, retained)?,
+            r13: decode_column(buf, &mut pos, retained)?,
+            event: decode_column(buf, &mut pos, retained)?,
+            ledger: decode_ledger(buf, &mut pos, c)?,
+        };
         if pos != buf.len() {
             return Err(StoreError::Corrupt("trailing bytes after sample chunk"));
         }
-        Ok((rows, ledger))
+        Ok(chunk)
     }
 
+    /// Decode mark chunk `c` and append its rows to `out`.
     fn read_mark_chunk(
         &mut self,
         seg_start: u64,
         c: &ChunkDesc,
-    ) -> Result<Vec<MarkRecord>, StoreError> {
-        let buf = read_at(
-            &mut self.src,
-            seg_start
-                .checked_add(c.offset)
-                .ok_or(StoreError::Corrupt("chunk offset overflows"))?,
-            c.byte_len as usize,
-        )?;
-        if obs::recording() {
-            obs::counter!("store.reader.bytes").add(buf.len() as u64);
-        }
+        out: &mut Vec<MarkRecord>,
+    ) -> Result<(), StoreError> {
+        self.load_chunk(seg_start, c)?;
+        let buf = self.chunk.as_slice();
         let rows_n = c.rows as usize;
         let mut pos = 0usize;
-        let tsc = decode_column(&buf, &mut pos, rows_n)?;
-        let core = decode_column(&buf, &mut pos, rows_n)?;
-        let item = decode_column(&buf, &mut pos, rows_n)?;
-        let kind = decode_column(&buf, &mut pos, rows_n)?;
+        let tsc = decode_column(buf, &mut pos, rows_n)?;
+        let core = decode_column(buf, &mut pos, rows_n)?;
+        let item = decode_column(buf, &mut pos, rows_n)?;
+        let kind = decode_column(buf, &mut pos, rows_n)?;
         if pos != buf.len() {
             return Err(StoreError::Corrupt("trailing bytes after mark chunk"));
         }
-        let mut rows = Vec::with_capacity(rows_n);
-        for i in 0..rows_n {
-            rows.push(MarkRecord {
-                core: decode_core(core.get(i))?,
-                tsc: copied(tsc.get(i))?,
-                item: ItemId(copied(item.get(i))?),
-                kind: match copied(kind.get(i))? {
+        let start = out.len();
+        let cols = tsc.iter().zip(&core).zip(&item).zip(&kind);
+        for (((&tsc, &core), &item), &kind) in cols {
+            out.push(MarkRecord {
+                core: decode_core(core)?,
+                tsc,
+                item: ItemId(item),
+                kind: match kind {
                     0 => MarkKind::Start,
                     1 => MarkKind::End,
                     _ => return Err(StoreError::Corrupt("unknown mark kind")),
                 },
             });
         }
-        Ok(rows)
+        if out.len() - start != rows_n {
+            return Err(StoreError::Corrupt("column shorter than rows"));
+        }
+        Ok(())
     }
 }
 
-/// `Option<&u64> -> u64` with a truncation error (column shorter than
-/// promised — unreachable after `decode_column` validated counts, but
-/// never a panic).
-fn copied(v: Option<&u64>) -> Result<u64, StoreError> {
-    v.copied()
-        .ok_or(StoreError::Corrupt("column shorter than rows"))
+/// A decoded sample chunk: the retained rows' five columns and the
+/// elision ledger.
+struct SampleChunk {
+    tsc: Vec<u64>,
+    ip: Vec<u64>,
+    core: Vec<u64>,
+    r13: Vec<u64>,
+    event: Vec<u64>,
+    ledger: Vec<LedgerGroup>,
 }
 
-fn decode_core(v: Option<&u64>) -> Result<CoreId, StoreError> {
-    let raw = copied(v)?;
+impl SampleChunk {
+    /// Append the chunk's rows to `out`: with `replay`, its logical
+    /// rows, each ledger group's elided rows re-inserted after their
+    /// retained anchor with TSCs chained through the wrapping deltas
+    /// (bit-exact to what was written); without, only the retained
+    /// rows.
+    fn push_rows(
+        &self,
+        c: &ChunkDesc,
+        replay: bool,
+        out: &mut Vec<PebsRecord>,
+    ) -> Result<(), StoreError> {
+        let start = out.len();
+        let mut groups = self.ledger.iter().peekable();
+        let cols = self.tsc.iter().zip(&self.ip).zip(&self.core);
+        let cols = cols.zip(&self.r13).zip(&self.event);
+        for (i, ((((&tsc, &ip), &core), &r13), &event)) in cols.enumerate() {
+            let r = PebsRecord {
+                core: decode_core(core)?,
+                tsc,
+                ip: VirtAddr(ip),
+                r13,
+                event: decode_event(event)?,
+            };
+            out.push(r);
+            if !replay {
+                continue;
+            }
+            if let Some(g) = groups.next_if(|g| g.index == i as u64) {
+                let mut last = r;
+                for &d in &g.deltas {
+                    last.tsc = last.tsc.wrapping_add(d);
+                    out.push(last);
+                }
+            }
+        }
+        let (expect, what) = if replay {
+            if groups.next().is_some() {
+                return Err(StoreError::Corrupt("ledger anchor past retained rows"));
+            }
+            (c.rows, "replayed rows != footer rows")
+        } else {
+            (c.retained, "column shorter than rows")
+        };
+        if (out.len() - start) as u64 != expect {
+            return Err(StoreError::Corrupt(what));
+        }
+        Ok(())
+    }
+}
+
+/// An empty bundle with room for `samples` and `marks` rows, each
+/// capped at one row per byte of a `store_len`-byte store.
+fn reserved_bundle(samples: u64, marks: u64, store_len: u64) -> TraceBundle {
+    TraceBundle {
+        samples: Vec::with_capacity(reservation(samples, store_len)),
+        marks: Vec::with_capacity(reservation(marks, store_len)),
+    }
+}
+
+/// Rows to reserve for `rows` claimed by footers. Every logical row
+/// costs at least one byte (a varint per column, or a ledger delta), so
+/// a valid store never claims more rows than it has bytes; the cap
+/// keeps a corrupt footer from forcing a large allocation.
+fn reservation(rows: u64, store_len: u64) -> usize {
+    usize::try_from(rows.min(store_len)).unwrap_or(usize::MAX)
+}
+
+fn decode_core(raw: u64) -> Result<CoreId, StoreError> {
     u32::try_from(raw)
         .map(CoreId)
         .map_err(|_| StoreError::Corrupt("core id exceeds u32"))
 }
 
-fn decode_event(v: Option<&u64>) -> Result<HwEvent, StoreError> {
-    let raw = copied(v)?;
+fn decode_event(raw: u64) -> Result<HwEvent, StoreError> {
     usize::try_from(raw)
         .ok()
         .and_then(|i| HwEvent::ALL.get(i))
@@ -379,46 +464,39 @@ fn decode_ledger(
     Ok(ledger)
 }
 
-/// Replay an elision ledger: re-insert each elided row after its
-/// retained anchor, chaining TSCs through the wrapping deltas. The
-/// result reproduces the chunk's logical rows bit-exactly.
-fn replay_ledger(
-    retained: &[PebsRecord],
-    ledger: &[LedgerGroup],
-    c: &ChunkDesc,
-) -> Result<Vec<PebsRecord>, StoreError> {
-    if ledger.is_empty() {
-        return Ok(retained.to_vec());
-    }
-    let mut out: Vec<PebsRecord> = Vec::with_capacity(c.rows as usize);
-    let mut groups = ledger.iter().peekable();
-    for (i, &r) in retained.iter().enumerate() {
-        out.push(r);
-        if let Some(g) = groups.peek() {
-            if g.index == i as u64 {
-                let mut last = r;
-                for &d in &g.deltas {
-                    last.tsc = last.tsc.wrapping_add(d);
-                    out.push(last);
-                }
-                groups.next();
-            }
-        }
-    }
-    if groups.next().is_some() {
-        return Err(StoreError::Corrupt("ledger anchor past retained rows"));
-    }
-    if out.len() as u64 != c.rows {
-        return Err(StoreError::Corrupt("replayed rows != footer rows"));
-    }
-    Ok(out)
-}
-
 /// Seek + exact read of `len` bytes at absolute `offset`.
 fn read_at<R: Read + Seek>(src: &mut R, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
-    src.seek(SeekFrom::Start(offset))?;
-    let mut buf = vec![0u8; len];
-    src.read_exact(&mut buf)
-        .map_err(|_| StoreError::Truncated("chunk or footer bytes"))?;
+    let mut buf = Vec::new();
+    read_at_into(src, offset, len, &mut buf)?;
     Ok(buf)
+}
+
+/// [`read_at`] into `buf`, replacing its contents.
+fn read_at_into<R: Read + Seek>(
+    src: &mut R,
+    offset: u64,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> Result<(), StoreError> {
+    src.seek(SeekFrom::Start(offset))?;
+    buf.clear();
+    buf.resize(len, 0);
+    src.read_exact(buf)
+        .map_err(|_| StoreError::Truncated("chunk or footer bytes"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reservation_never_exceeds_one_row_per_byte() {
+        for rows in [0, 1, 7, 1 << 24, 48 << 24, u64::MAX] {
+            for len in [0, 1, 24, 4096, 1 << 40] {
+                assert_eq!(reservation(rows, len) as u64, rows.min(len));
+            }
+            let b = reserved_bundle(rows, rows, 4096);
+            assert!(b.samples.capacity() <= 4096 && b.marks.capacity() <= 4096);
+        }
+    }
 }

@@ -6,13 +6,14 @@
 //! declared tolerance — every elision lands in the chunk's ledger, so
 //! the reader replays bit-exact rows.
 
+use std::borrow::Cow;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use fluctrace_cpu::{MarkKind, MarkRecord, PebsRecord, TraceBundle};
 use fluctrace_obs as obs;
 
-use crate::codec::{encode_column, write_varint};
+use crate::codec::{encode_column_into, write_varint};
 use crate::error::StoreError;
 use crate::format::{
     ChunkDesc, Footer, MAGIC, MAX_CHUNK_ROWS, STREAM_MARKS, STREAM_SAMPLES, TAIL_MAGIC, VERSION,
@@ -103,6 +104,30 @@ pub struct TraceWriter<W: Write> {
     mark_buf: Vec<MarkRecord>,
     chunks: Vec<ChunkDesc>,
     stats: WriteStats,
+    /// Suppressed mode: the current chunk's retained rows and ledger.
+    retained: Vec<PebsRecord>,
+    ledger: Vec<LedgerGroup>,
+    chunk: ChunkBuf,
+}
+
+/// Buffers one chunk is encoded through, kept across chunks.
+#[derive(Default)]
+struct ChunkBuf {
+    /// One column's values.
+    column: Vec<u64>,
+    /// The dictionary's sorted copy of the column.
+    sorted: Vec<u64>,
+    /// The chunk's encoded bytes.
+    bytes: Vec<u8>,
+}
+
+impl ChunkBuf {
+    /// Append the encoding of one column, `field` of every row.
+    fn put<T>(&mut self, rows: &[T], field: impl Fn(&T) -> u64) {
+        self.column.clear();
+        self.column.extend(rows.iter().map(field));
+        encode_column_into(&self.column, &mut self.sorted, &mut self.bytes);
+    }
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -117,6 +142,9 @@ impl<W: Write> TraceWriter<W> {
             mark_buf: Vec::new(),
             chunks: Vec::new(),
             stats: WriteStats::default(),
+            retained: Vec::new(),
+            ledger: Vec::new(),
+            chunk: ChunkBuf::default(),
         })
     }
 
@@ -156,98 +184,79 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    fn write_chunk(&mut self, stream: u64, desc_rows: (u64, u64, u64, u64), bytes: &[u8]) {
-        let (rows, retained, tsc_min, tsc_max) = desc_rows;
+    /// Write the encoded chunk in `self.chunk.bytes` and record it.
+    fn write_chunk(
+        &mut self,
+        stream: u64,
+        rows: u64,
+        retained: u64,
+        tsc: (u64, u64),
+    ) -> Result<(), StoreError> {
+        let bytes = &self.chunk.bytes;
+        self.out.write_all(bytes)?;
         self.chunks.push(ChunkDesc {
             stream,
             offset: self.pos,
             byte_len: bytes.len() as u64,
             rows,
             retained,
-            tsc_min,
-            tsc_max,
+            tsc_min: tsc.0,
+            tsc_max: tsc.1,
         });
         self.pos += bytes.len() as u64;
         self.stats.chunks += 1;
+        Ok(())
     }
 
     fn flush_samples(&mut self) -> Result<(), StoreError> {
         if self.sample_buf.is_empty() {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.sample_buf);
-        let (tsc_min, tsc_max) = tsc_bounds(rows.iter().map(|r| r.tsc));
-        let tolerance = if self.config.suppress {
-            Some(self.config.tolerance)
+        let rows = &self.sample_buf;
+        let tsc = tsc_bounds(rows.iter().map(|r| r.tsc));
+        let retained: &[PebsRecord] = if self.config.suppress {
+            split_into(
+                rows,
+                self.config.tolerance,
+                &mut self.retained,
+                &mut self.ledger,
+            );
+            &self.retained
         } else {
-            None
+            rows
         };
-        let (retained, ledger) = split_suppressed(&rows, tolerance);
-        self.stats.elided += (rows.len() - retained.len()) as u64;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.tsc).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.ip.0).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained
-                .iter()
-                .map(|r| u64::from(r.core.0))
-                .collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained.iter().map(|r| r.r13).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &retained
-                .iter()
-                .map(|r| r.event.index() as u64)
-                .collect::<Vec<u64>>(),
-        ));
-        encode_ledger(&mut bytes, &ledger);
-        self.out.write_all(&bytes)?;
-        self.write_chunk(
-            STREAM_SAMPLES,
-            (rows.len() as u64, retained.len() as u64, tsc_min, tsc_max),
-            &bytes,
-        );
-        Ok(())
+        let chunk = &mut self.chunk;
+        chunk.bytes.clear();
+        chunk.put(retained, |r| r.tsc);
+        chunk.put(retained, |r| r.ip.0);
+        chunk.put(retained, |r| u64::from(r.core.0));
+        chunk.put(retained, |r| r.r13);
+        chunk.put(retained, |r| r.event.index() as u64);
+        encode_ledger(&mut chunk.bytes, &self.ledger);
+        let (n, kept) = (rows.len() as u64, retained.len() as u64);
+        self.sample_buf.clear();
+        self.stats.elided += n - kept;
+        self.write_chunk(STREAM_SAMPLES, n, kept, tsc)
     }
 
     fn flush_marks(&mut self) -> Result<(), StoreError> {
         if self.mark_buf.is_empty() {
             return Ok(());
         }
-        let rows = std::mem::take(&mut self.mark_buf);
-        let (tsc_min, tsc_max) = tsc_bounds(rows.iter().map(|r| r.tsc));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&encode_column(
-            &rows.iter().map(|r| r.tsc).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows
-                .iter()
-                .map(|r| u64::from(r.core.0))
-                .collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows.iter().map(|r| r.item.0).collect::<Vec<u64>>(),
-        ));
-        bytes.extend_from_slice(&encode_column(
-            &rows
-                .iter()
-                .map(|r| match r.kind {
-                    MarkKind::Start => 0u64,
-                    MarkKind::End => 1u64,
-                })
-                .collect::<Vec<u64>>(),
-        ));
-        self.out.write_all(&bytes)?;
+        let rows = &self.mark_buf;
+        let tsc = tsc_bounds(rows.iter().map(|r| r.tsc));
+        let chunk = &mut self.chunk;
+        chunk.bytes.clear();
+        chunk.put(rows, |r| r.tsc);
+        chunk.put(rows, |r| u64::from(r.core.0));
+        chunk.put(rows, |r| r.item.0);
+        chunk.put(rows, |r| match r.kind {
+            MarkKind::Start => 0,
+            MarkKind::End => 1,
+        });
         let n = rows.len() as u64;
-        self.write_chunk(STREAM_MARKS, (n, n, tsc_min, tsc_max), &bytes);
-        Ok(())
+        self.mark_buf.clear();
+        self.write_chunk(STREAM_MARKS, n, n, tsc)
     }
 
     /// Close the segment: flush buffered rows, write footer + tail, and
@@ -312,18 +321,33 @@ pub struct LedgerGroup {
 }
 
 /// Split a chunk's logical rows into retained rows and the elision
-/// ledger. `tolerance == None` disables suppression (everything is
-/// retained). The predecessor is always the immediately preceding
-/// *stream* row — elided or not — so chained elisions replay exactly.
+/// ledger. `tolerance == None` disables suppression: every row is
+/// retained and borrowed, not copied. The predecessor is always the
+/// immediately preceding *stream* row — elided or not — so chained
+/// elisions replay exactly.
 pub fn split_suppressed(
     rows: &[PebsRecord],
     tolerance: Option<u64>,
-) -> (Vec<PebsRecord>, Vec<LedgerGroup>) {
+) -> (Cow<'_, [PebsRecord]>, Vec<LedgerGroup>) {
     let Some(tolerance) = tolerance else {
-        return (rows.to_vec(), Vec::new());
+        return (Cow::Borrowed(rows), Vec::new());
     };
-    let mut retained: Vec<PebsRecord> = Vec::with_capacity(rows.len());
-    let mut ledger: Vec<LedgerGroup> = Vec::new();
+    let mut retained = Vec::with_capacity(rows.len());
+    let mut ledger = Vec::new();
+    split_into(rows, tolerance, &mut retained, &mut ledger);
+    (Cow::Owned(retained), ledger)
+}
+
+/// [`split_suppressed`] with suppression on, refilling `retained` and
+/// `ledger`.
+fn split_into(
+    rows: &[PebsRecord],
+    tolerance: u64,
+    retained: &mut Vec<PebsRecord>,
+    ledger: &mut Vec<LedgerGroup>,
+) {
+    retained.clear();
+    ledger.clear();
     let mut prev: Option<PebsRecord> = None;
     for &r in rows {
         let elide = prev.is_some_and(|p| {
@@ -342,6 +366,7 @@ pub fn split_suppressed(
                 Some(g) if g.index == index => g.deltas.push(delta),
                 _ => ledger.push(LedgerGroup {
                     index,
+                    // lint:allow(hot-path-alloc): a ledger group owns its deltas; one per elision site, only when suppression is on
                     deltas: vec![delta],
                 }),
             }
@@ -350,7 +375,6 @@ pub fn split_suppressed(
         }
         prev = Some(r);
     }
-    (retained, ledger)
 }
 
 /// Serialize the ledger: group count, then per group the gap from the

@@ -1,10 +1,13 @@
 //! Codec-level property tests: encode→decode == identity for each
 //! codec in isolation, over adversarial inputs — wraparound TSC
-//! sequences, single-row chunks, all-equal columns, empty columns.
+//! sequences, single-row chunks, all-equal columns, empty columns —
+//! and the column codec's exact-size choice equal, byte for byte, to
+//! trial-encoding all four codecs.
 
 use fluctrace_store::codec::{
-    decode_column, decode_delta, decode_dict, decode_raw, decode_rle, encode_column, encode_delta,
-    encode_dict, encode_raw, encode_rle, read_varint, unzigzag, write_varint, zigzag,
+    decode_column, decode_delta, decode_dict, decode_raw, decode_rle, encode_column,
+    encode_column_into, encode_delta, encode_dict, encode_raw, encode_rle, read_varint, unzigzag,
+    varint_len, write_varint, zigzag, TAG_DELTA, TAG_DICT, TAG_RAW, TAG_RLE,
 };
 use proptest::prelude::*;
 
@@ -38,7 +41,63 @@ fn column_from_seed(seed: u64, len: usize) -> Vec<u64> {
     out
 }
 
+/// Reference for [`encode_column`]: encode under all four codecs and
+/// keep the smallest, ties going to the earliest of delta, dict, rle,
+/// raw.
+fn trial_encode(values: &[u64]) -> Vec<u8> {
+    let candidates = [
+        (TAG_DELTA, encode_delta(values)),
+        (TAG_DICT, encode_dict(values)),
+        (TAG_RLE, encode_rle(values)),
+        (TAG_RAW, encode_raw(values)),
+    ];
+    let (tag, payload) = candidates
+        .into_iter()
+        .min_by_key(|(_, p)| p.len())
+        .expect("four candidates");
+    let mut out = vec![tag];
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// `encode_column` picks what trial encoding picks, byte for byte, and
+/// the scratch-reusing form appends the same bytes after a dirty
+/// scratch and existing output.
+fn assert_choice_matches_trial(values: &[u64]) {
+    let expect = trial_encode(values);
+    assert_eq!(
+        encode_column(values),
+        expect,
+        "column of {} rows",
+        values.len()
+    );
+    let mut sorted = vec![u64::MAX; 7];
+    let mut out = vec![0xEE];
+    encode_column_into(&[5, 1, 5, 9], &mut sorted, &mut out);
+    let prefix = out.len();
+    encode_column_into(values, &mut sorted, &mut out);
+    assert_eq!(&out[prefix..], &expect[..], "into a reused buffer");
+}
+
+/// A column drawing `len` values from `distinct` distinct values spread
+/// over `spread_bits` bits, in seeded order.
+fn column_from_dictionary(seed: u64, distinct: usize, spread_bits: u32, len: usize) -> Vec<u64> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut step = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mask = u64::MAX.checked_shr(64 - spread_bits).unwrap_or(0);
+    let dict: Vec<u64> = (0..distinct).map(|_| step() & mask).collect();
+    (0..len)
+        .map(|_| dict[(step() % distinct as u64) as usize])
+        .collect()
+}
+
 fn roundtrip_each(values: &[u64]) {
+    assert_choice_matches_trial(values);
     let n = values.len();
 
     let raw = encode_raw(values);
@@ -91,6 +150,7 @@ proptest! {
         let mut pos = 0;
         prop_assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
         prop_assert_eq!(pos, buf.len());
+        prop_assert_eq!(varint_len(v), buf.len());
         prop_assert!(buf.len() <= 10);
     }
 
@@ -124,6 +184,58 @@ proptest! {
     #[test]
     fn codecs_roundtrip_single_row(v in any::<u64>()) {
         roundtrip_each(&[v]);
+    }
+
+    /// Low-cardinality columns at every spread, where the dictionary is
+    /// sized and wins or loses narrowly.
+    #[test]
+    fn choice_matches_trial_on_dictionary_columns(
+        seed in any::<u64>(),
+        distinct in 1usize..400,
+        spread_bits in 0u32..=64,
+        len in 0usize..700,
+    ) {
+        assert_choice_matches_trial(&column_from_dictionary(seed, distinct, spread_bits, len));
+    }
+}
+
+/// Every column of up to five values over an alphabet straddling the
+/// varint byte boundaries: exact ties between codecs occur here, so the
+/// tie order is pinned.
+#[test]
+fn choice_matches_trial_on_all_short_columns() {
+    let alphabet = [0, 1, 64, 127, 128, 300, 1 << 14, u64::MAX];
+    let mut values = Vec::new();
+    for len in 0..=5u32 {
+        for code in 0..alphabet.len().pow(len) {
+            values.clear();
+            let mut c = code;
+            for _ in 0..len {
+                values.push(alphabet[c % alphabet.len()]);
+                c /= alphabet.len();
+            }
+            assert_choice_matches_trial(&values);
+        }
+    }
+}
+
+/// Dictionaries past 128 and past 16,384 entries, whose indices take 2
+/// and 3 bytes.
+#[test]
+fn choice_matches_trial_on_wide_dictionaries() {
+    for (distinct, len) in [
+        (129, 2_000),
+        (300, 5_000),
+        (16_385, 40_000),
+        (20_000, 60_000),
+    ] {
+        let values = column_from_dictionary(distinct as u64, distinct, 48, len);
+        roundtrip_each(&values);
+        assert_eq!(
+            encode_column(&values)[0],
+            TAG_DICT,
+            "{distinct} distinct values"
+        );
     }
 }
 

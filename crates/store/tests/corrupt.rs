@@ -3,44 +3,16 @@
 //! [`StoreError`] or decode to different rows — never a panic and
 //! never a silent short read that passes for the original.
 
+mod common;
+
 use std::io::Cursor;
 
-use fluctrace_cpu::{
-    CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
+use common::fixture_bundle;
+use fluctrace_cpu::TraceBundle;
+use fluctrace_store::format::{
+    ChunkDesc, Footer, MAGIC, STREAM_MARKS, STREAM_SAMPLES, TAIL_MAGIC, VERSION,
 };
-use fluctrace_store::{write_bundle_to_vec, StoreConfig, StoreError, TraceReader};
-
-fn sample(core: u32, tsc: u64, ip: u64, r13: u64, event: HwEvent) -> PebsRecord {
-    PebsRecord {
-        core: CoreId(core),
-        tsc,
-        ip: VirtAddr(ip),
-        r13,
-        event,
-    }
-}
-
-fn fixture_bundle() -> TraceBundle {
-    let mut b = TraceBundle::default();
-    for i in 0..200u64 {
-        let core = (i % 3) as u32;
-        // Repeated (ip, r13, event) stretches so suppression has teeth.
-        let ip = 0x4000 + (i / 16) * 8;
-        b.samples
-            .push(sample(core, 1000 + i * 3, ip, i / 16, HwEvent::UopsRetired));
-        b.marks.push(MarkRecord {
-            core: CoreId(core),
-            tsc: 1000 + i * 3,
-            item: ItemId(i / 2),
-            kind: if i % 2 == 0 {
-                MarkKind::Start
-            } else {
-                MarkKind::End
-            },
-        });
-    }
-    b
-}
+use fluctrace_store::{write_bundle_to_vec, StoreConfig, StoreError, TraceReader, MAX_CHUNK_ROWS};
 
 fn fixture_bytes(config: StoreConfig) -> Vec<u8> {
     write_bundle_to_vec(&fixture_bundle(), config)
@@ -154,4 +126,56 @@ fn body_shorter_than_footer_claims_errors() {
     spliced.extend_from_slice(&bytes[..footer_start - 32]);
     spliced.extend_from_slice(&bytes[footer_start..]);
     assert!(read_all(&spliced).is_err(), "spliced short body must error");
+}
+
+/// A well-formed footer that claims many `MAX_CHUNK_ROWS` chunks over a
+/// 16-byte body: the reader reserves no more than the file can hold and
+/// every read path fails with a typed error.
+#[test]
+fn footer_claiming_huge_chunks_over_tiny_body_errors() {
+    let chunks = (0..64u64)
+        .map(|i| ChunkDesc {
+            stream: if i % 4 == 3 {
+                STREAM_MARKS
+            } else {
+                STREAM_SAMPLES
+            },
+            offset: MAGIC.len() as u64,
+            byte_len: 16,
+            rows: MAX_CHUNK_ROWS,
+            retained: MAX_CHUNK_ROWS,
+            tsc_min: 0,
+            tsc_max: u64::MAX,
+        })
+        .collect();
+    let footer = Footer {
+        version: VERSION,
+        suppress: 0,
+        tolerance: 0,
+        chunk_rows: MAX_CHUNK_ROWS,
+        body_len: MAGIC.len() as u64 + 16,
+        chunks,
+    }
+    .encode();
+    let mut bytes = MAGIC.to_vec();
+    bytes.extend_from_slice(&[0x01; 16]);
+    bytes.extend_from_slice(&footer);
+    bytes.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(TAIL_MAGIC);
+
+    let mut reader = TraceReader::open(Cursor::new(bytes)).expect("footer itself is well formed");
+    assert_eq!(
+        reader.logical_rows(),
+        (48 * MAX_CHUNK_ROWS, 16 * MAX_CHUNK_ROWS)
+    );
+    assert!(matches!(
+        reader.read_bundle(),
+        Err(StoreError::Corrupt(_) | StoreError::Truncated(_))
+    ));
+    assert!(matches!(
+        reader.read_segment(0),
+        Err(StoreError::Corrupt(_) | StoreError::Truncated(_))
+    ));
+    assert!(reader.read_retained().is_err());
+    assert!(reader.read_samples_in(0, u64::MAX).is_err());
 }

@@ -3,69 +3,17 @@
 //! reads, chunk-size invariance of decoded rows, ledger row-count
 //! identity, footer-pruned window reads, and writer determinism.
 
+mod common;
+
 use std::io::Cursor;
 
-use fluctrace_cpu::{
-    CoreId, HwEvent, ItemId, MarkKind, MarkRecord, PebsRecord, TraceBundle, VirtAddr,
-};
+use common::synth_bundle;
+use fluctrace_cpu::{CoreId, HwEvent, PebsRecord, TraceBundle, VirtAddr};
 use fluctrace_store::{
-    split_suppressed, write_bundle_to_vec, SharedBuf, StoreConfig, TraceReader, TraceWriter,
-    DEFAULT_CHUNK_ROWS,
+    split_suppressed, write_bundle_to_vec, write_bundles_to_vec, SharedBuf, StoreConfig,
+    TraceReader, TraceWriter, DEFAULT_CHUNK_ROWS,
 };
 use proptest::prelude::*;
-
-/// Deterministic synthetic bundle: several cores, bursty repeated-IP
-/// stretches (suppressible), function hops, occasional TSC wraparound.
-fn synth_bundle(seed: u64, n: usize) -> TraceBundle {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut step = || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut b = TraceBundle::default();
-    let wrap = seed.is_multiple_of(3);
-    let mut tscs = [0u64; 4];
-    for (c, t) in tscs.iter_mut().enumerate() {
-        *t = if wrap {
-            u64::MAX - 500 - (c as u64) * 17
-        } else {
-            1_000_000 + (c as u64) * 911
-        };
-    }
-    for i in 0..n {
-        let core = (step() % 4) as usize;
-        let t = &mut tscs[core];
-        *t = t.wrapping_add(1 + step() % 40);
-        let burst = step() % 4 != 0;
-        let ip = if burst {
-            0x40_0000 + (step() % 3) * 0x1000
-        } else {
-            0x40_0000 + step() % 0x4000
-        };
-        b.samples.push(PebsRecord {
-            core: CoreId(core as u32),
-            tsc: *t,
-            ip: VirtAddr(ip),
-            r13: (i as u64) / 7,
-            event: HwEvent::ALL[(step() % 4) as usize],
-        });
-        if i % 5 == 0 {
-            b.marks.push(MarkRecord {
-                core: CoreId(core as u32),
-                tsc: *t,
-                item: ItemId(i as u64 / 5),
-                kind: if step() % 2 == 0 {
-                    MarkKind::Start
-                } else {
-                    MarkKind::End
-                },
-            });
-        }
-    }
-    b
-}
 
 fn read_bytes(bytes: Vec<u8>) -> TraceBundle {
     TraceReader::open(Cursor::new(bytes))
@@ -135,6 +83,31 @@ proptest! {
         // Per-segment reads see each store alone.
         prop_assert_eq!(&reader.read_segment(0).expect("seg 0").samples, &ba.samples);
         prop_assert_eq!(&reader.read_segment(1).expect("seg 1").samples, &bb.samples);
+    }
+
+    /// A multi-segment store (an empty segment among them) reads back
+    /// as the concatenation of its segments, each read alone.
+    #[test]
+    fn read_bundle_is_concat_of_segments(seeds in proptest::collection::vec(0u64..50_000, 1..5), n in 0usize..1200) {
+        let mut bundles: Vec<TraceBundle> = seeds.iter().map(|&s| synth_bundle(s, n)).collect();
+        bundles.insert(bundles.len() / 2, TraceBundle::default());
+        let config = StoreConfig { chunk_rows: 100, ..StoreConfig::suppressed(1 << 8) };
+        let (bytes, _) = write_bundles_to_vec(&bundles, config).expect("write");
+        let mut reader = TraceReader::open(Cursor::new(bytes)).expect("open");
+        prop_assert_eq!(reader.segments(), bundles.len());
+        let mut concat = TraceBundle::default();
+        for (i, b) in bundles.iter().enumerate() {
+            let seg = reader.read_segment(i).expect("segment");
+            prop_assert_eq!(&seg.samples, &b.samples);
+            prop_assert_eq!(&seg.marks, &b.marks);
+            concat.merge(seg);
+        }
+        let all = reader.read_bundle().expect("read");
+        prop_assert_eq!(&all.samples, &concat.samples);
+        prop_assert_eq!(&all.marks, &concat.marks);
+        // Reserved once from the footers, so the reservation is exact.
+        prop_assert_eq!(all.samples.capacity(), all.samples.len());
+        prop_assert_eq!(all.marks.capacity(), all.marks.len());
     }
 
     /// The chunk-size knob re-chunks the file but never changes the
